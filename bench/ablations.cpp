@@ -6,10 +6,11 @@
 //  (D) slow-start-after-idle on/off (RFC 2861) for the plain-Reno baseline.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "bench_common.hpp"
 
@@ -77,24 +78,21 @@ Outcome run_packet(const tcp::CcFactory& cc, int ack_every,
   return out;
 }
 
-/// Iterations until every fluid job stays within 2% of the 1.8 s ideal.
-int fluid_convergence(double slope, double intercept) {
-  analysis::FluidConfig fc;
-  fc.dt = 5e-4;
-  fc.f = std::make_shared<core::LinearAggressiveness>(slope, intercept);
-  std::vector<analysis::FluidJobSpec> jobs(4);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    jobs[j].comm_seconds = 0.36;
-    jobs[j].compute_seconds = 1.44;
-    // Tiny stagger: the deterministic fluid model needs a symmetry
+/// Iterations until every flowsim job stays within 2% of the 1.8 s ideal.
+int flowsim_convergence(double slope, double intercept) {
+  std::vector<analysis::PeriodicJob> jobs;
+  for (int j = 0; j < 4; ++j) {
+    // Tiny stagger: the deterministic flow-level model needs a symmetry
     // breaker (the packet simulator gets one for free from loss noise).
-    jobs[j].start_offset = 0.02 * static_cast<double>(j);
+    jobs.push_back({0.36, 1.44, 0.02 * j, 0.0});
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(150, 1e4);
+  const auto run = analysis::run_dumbbell(
+      jobs, std::make_shared<core::LinearAggressiveness>(slope, intercept), 1,
+      150, 1e4);
+  bench::exit_if_truncated(run, "Slope/Intercept grid");
   int conv = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = run.iteration_times(j);
     int last_bad = -1;
     for (std::size_t i = 0; i < times.size(); ++i) {
       if (times[i] > 1.8 * 1.02) last_bad = static_cast<int>(i);
@@ -131,7 +129,7 @@ int main() {
       },
       bench::campaign_options());
 
-  // (B) is a 3x3 grid of fluid-model runs: its own campaign.
+  // (B) is a 3x3 grid of flowsim runs: its own campaign.
   struct Grid {
     double slope;
     double intercept;
@@ -145,7 +143,7 @@ int main() {
   const std::vector<int> grid_conv = runner::run_campaign<Grid, int>(
       grid,
       [](const Grid& g, std::size_t) {
-        return fluid_convergence(g.slope, g.intercept);
+        return flowsim_convergence(g.slope, g.intercept);
       },
       bench::campaign_options());
 
@@ -156,7 +154,7 @@ int main() {
               "(learning costs a few extra iterations)\n",
               packet[1].tail, packet[1].convergence);
 
-  bench::print_header("(B) Slope/Intercept sensitivity (fluid model, "
+  bench::print_header("(B) Slope/Intercept sensitivity (flowsim dumbbell, "
                       "4 jobs, a=0.2, T=1.8)");
   std::printf("slope,intercept,iters_to_interleave\n");
   for (std::size_t i = 0; i < grid.size(); ++i) {

@@ -2,6 +2,8 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -104,6 +106,20 @@ sim::RateBinner* bottleneck_binner_for_job(Experiment& exp,
 
 void print_header(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
+}
+
+void exit_if_truncated(const analysis::DumbbellRun& run,
+                       const std::string& what) {
+  if (!run.truncated) return;
+  std::size_t least = SIZE_MAX;
+  for (const auto& records : run.iterations) {
+    least = std::min(least, records.size());
+  }
+  std::fprintf(stderr,
+               "FATAL: flowsim run truncated (%s): a job completed only %zu "
+               "iterations before the time budget ran out\n",
+               what.c_str(), least);
+  std::exit(1);
 }
 
 void print_series(const std::string& name, const std::vector<double>& xs) {

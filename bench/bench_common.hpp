@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dumbbell_run.hpp"
 #include "core/mltcp.hpp"
 #include "net/topology.hpp"
 #include "runner/campaign.hpp"
@@ -108,6 +109,12 @@ struct RssProbe {
 void print_header(const std::string& title);
 void print_series(const std::string& name, const std::vector<double>& xs);
 void print_row(const std::vector<std::string>& cells);
+
+/// Exits 1 with a FATAL line naming `what` when a run_dumbbell() result is
+/// truncated: per-iteration statistics of a run that hit its time budget
+/// under-count exactly the slow iterations they report.
+void exit_if_truncated(const analysis::DumbbellRun& run,
+                       const std::string& what);
 
 /// ---- campaign execution ----
 

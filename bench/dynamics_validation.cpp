@@ -2,18 +2,18 @@
 //  (V1) cwnd/gain time series of one MLTCP flow — Eq. 1 at work: the gain
 //       ramps from Intercept to Slope+Intercept within each iteration and
 //       resets at the boundary (CSV: results/v1_cwnd_gain.csv).
-//  (V2) packet-level vs fluid-model convergence trajectories for the same
-//       3-job scenario — the fluid model is only trustworthy for sweeps if
+//  (V2) packet-level vs flowsim convergence trajectories for the same 3-job
+//       scenario — the flow-level model is only trustworthy for sweeps if
 //       it tracks the packet simulator.
-//  (V3) multi-job analytic gradient descent (multi_job_step) vs the fluid
-//       model for 4 jobs — §4's gradient-descent claim beyond two jobs.
+//  (V3) multi-job analytic gradient descent (multi_job_step) vs flowsim for
+//       4 jobs — §4's gradient-descent claim beyond two jobs.
 
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "analysis/flow_monitor.hpp"
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/shift.hpp"
 #include "bench_common.hpp"
@@ -71,7 +71,8 @@ void v1_cwnd_gain_traces() {
 }
 
 void v2_fluid_vs_packet() {
-  bench::print_header("V2: packet-level vs fluid convergence (3 GPT-2 jobs)");
+  bench::print_header(
+      "V2: packet-level vs flowsim convergence (3 GPT-2 jobs)");
   const workload::ModelProfile gpt2 = workload::gpt2_profile();
   constexpr int kIters = 35;
 
@@ -89,26 +90,19 @@ void v2_fluid_vs_packet() {
   exp->cluster->start_all();
   exp->sim.run_until(sim::seconds(130));
 
-  // Fluid.
-  analysis::FluidConfig fc;
-  fc.dt = 5e-4;
-  std::vector<analysis::FluidJobSpec> fjobs(3);
+  // Flow level.
+  std::vector<analysis::PeriodicJob> fjobs;
   for (int j = 0; j < 3; ++j) {
-    fjobs[j].comm_seconds = sim::to_seconds(workload::comm_time(gpt2));
-    fjobs[j].compute_seconds = sim::to_seconds(workload::compute_time(gpt2));
-    fjobs[j].start_offset = 0.005 * j;
+    fjobs.push_back({sim::to_seconds(workload::comm_time(gpt2)),
+                     sim::to_seconds(workload::compute_time(gpt2)), 0.005 * j,
+                     0.0});
   }
-  analysis::FluidSimulator fluid(fc, fjobs);
-  if (!fluid.run_iterations(kIters, 1e4)) {
-    std::printf("WARNING: fluid run truncated at t=%.1f before %d "
-                "iterations; per-iteration means below under-count the "
-                "slow tail\n",
-                fluid.now(), kIters);
-  }
+  const auto fluid = analysis::run_dumbbell(fjobs, nullptr, 1, kIters, 1e4);
+  bench::exit_if_truncated(fluid, "V2");
 
   auto csv = bench::open_csv("v2_fluid_vs_packet",
-                             {"iter", "packet_mean_s", "fluid_mean_s"});
-  std::printf("iter,packet_mean_s,fluid_mean_s\n");
+                             {"iter", "packet_mean_s", "flowsim_mean_s"});
+  std::printf("iter,packet_mean_s,flowsim_mean_s\n");
   for (int k = 0; k < kIters; k += 2) {
     double packet_mean = 0.0;
     double fluid_mean = 0.0;
@@ -128,7 +122,7 @@ void v2_fluid_vs_packet() {
 }
 
 void v3_multi_job_descent() {
-  bench::print_header("V3: analytic multi-job descent vs fluid (4 jobs, "
+  bench::print_header("V3: analytic multi-job descent vs flowsim (4 jobs, "
                       "a=0.2)");
   analysis::ShiftParams p;
   p.alpha = 0.2;
@@ -137,19 +131,12 @@ void v3_multi_job_descent() {
   const std::vector<double> starts = {0.0, 0.05, 0.10, 0.15};
   const auto descent = analysis::multi_descend(starts, p, 300, 1e-4);
 
-  analysis::FluidConfig fc;
-  fc.dt = 2e-4;
-  std::vector<analysis::FluidJobSpec> jobs(4);
-  for (std::size_t j = 0; j < 4; ++j) {
-    jobs[j].comm_seconds = p.alpha * p.period;
-    jobs[j].compute_seconds = (1 - p.alpha) * p.period;
-    jobs[j].start_offset = starts[j];
+  std::vector<analysis::PeriodicJob> jobs;
+  for (const double start : starts) {
+    jobs.push_back({p.alpha * p.period, (1 - p.alpha) * p.period, start, 0.0});
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  if (!fluid.run_iterations(60, 1e4)) {
-    std::printf("WARNING: fluid run truncated before 60 iterations; the "
-                "offset comparison below is over a shorter trajectory\n");
-  }
+  const auto fluid = analysis::run_dumbbell(jobs, nullptr, 1, 60, 1e4);
+  bench::exit_if_truncated(fluid, "V3");
 
   std::printf("analytic: converged=%s after %d iterations, final loss "
               "%.5f\n",
@@ -158,18 +145,15 @@ void v3_multi_job_descent() {
 
   // Compare pairwise offsets (relative to job 0) at convergence.
   const auto& final_offsets = descent.trajectory.back();
-  std::printf("job,analytic_rel_offset_s,fluid_rel_offset_s\n");
+  std::printf("job,analytic_rel_offset_s,flowsim_rel_offset_s\n");
   for (std::size_t j = 1; j < 4; ++j) {
     double analytic = std::fmod(final_offsets[j] - final_offsets[0],
                                 p.period);
     if (analytic < 0) analytic += p.period;
-    const auto& r0 = fluid.iterations(0);
-    const auto& rj = fluid.iterations(j);
-    const std::size_t k = std::min(r0.size(), rj.size()) - 1;
-    double fluid_off = std::fmod(
-        rj[k].comm_start - r0[k].comm_start, p.period);
-    if (fluid_off < 0) fluid_off += p.period;
-    std::printf("%zu,%.3f,%.3f\n", j, analytic, fluid_off);
+    const std::size_t k = std::min(fluid.iterations[0].size(),
+                                   fluid.iterations[j].size()) - 1;
+    std::printf("%zu,%.3f,%.3f\n", j, analytic,
+                fluid.offset(j, k, p.period));
   }
   std::printf("Expected shape: both settle into pairwise separations of at "
               "least a*T = %.2fs (order may differ; any interleaved "

@@ -5,8 +5,8 @@
 //       compute gaps. Does MLTCP still interleave?
 //  (E2) job churn: a new job joins a converged system mid-run; how fast does
 //       the system re-converge, and does it disturb the incumbents?
-//  (E3) scalability: fluid-model sweep of convergence iterations vs number
-//       of jobs at fixed 0.8 utilization.
+//  (E3) scalability: flowsim sweep of convergence iterations vs number of
+//       jobs at fixed 0.8 utilization.
 //  (E4) switch-enforced fairness (DRR) baseline: even a perfectly fair
 //       switch does not interleave periodic jobs — the gap MLTCP fills.
 //  (E5) SACK vs NewReno loss recovery under MLTCP (transport robustness).
@@ -19,7 +19,7 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "bench_common.hpp"
 
@@ -128,7 +128,7 @@ void job_churn() {
 // --------------------------------------------------------------------- E3
 
 void scalability() {
-  bench::print_header("E3: fluid-model convergence vs number of jobs "
+  bench::print_header("E3: flowsim convergence vs number of jobs "
                       "(utilization fixed at 0.8)");
   std::printf("jobs,comm_fraction,iters_to_interleave\n");
   const std::vector<int> sizes = {2, 4, 6, 8, 12, 16, 24};
@@ -136,19 +136,15 @@ void scalability() {
       sizes,
       [](const int n, std::size_t) {
         const double a = 0.8 / n;
-        analysis::FluidConfig fc;
-        fc.dt = 1e-3;
-        std::vector<analysis::FluidJobSpec> jobs(n);
+        std::vector<analysis::PeriodicJob> jobs;
         for (int j = 0; j < n; ++j) {
-          jobs[j].comm_seconds = a * 1.8;
-          jobs[j].compute_seconds = 1.8 - a * 1.8;
-          jobs[j].start_offset = 0.01 * j;
+          jobs.push_back({a * 1.8, 1.8 - a * 1.8, 0.01 * j, 0.0});
         }
-        analysis::FluidSimulator fluid(fc, jobs);
-        fluid.run_iterations(400, 2e4);
+        const auto run = analysis::run_dumbbell(jobs, nullptr, 1, 400, 2e4);
+        bench::exit_if_truncated(run, "E3 jobs=" + std::to_string(n));
         int conv = 0;
         for (int j = 0; j < n; ++j) {
-          const auto times = fluid.iteration_times(j);
+          const auto times = run.iteration_times(j);
           int last_bad = -1;
           for (std::size_t i = 0; i < times.size(); ++i) {
             if (times[i] > 1.8 * 1.02) last_bad = static_cast<int>(i);

@@ -3,13 +3,17 @@
 //  - Eq. 4 loss function Loss(D) = -Int Shift (Figure 5c: for a = 1/2 the
 //    loss is minimal at D = T/2, the fully interleaved configuration),
 //  - gradient-descent trajectories from several starting offsets,
-//  - cross-validation of the analytical descent against the fluid model.
+//  - cross-validation of the analytical descent against two jobs on a
+//    flowsim dumbbell.
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/shift.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
@@ -48,40 +52,29 @@ void print_descent(const analysis::ShiftParams& p) {
   }
 }
 
-void cross_validate_with_fluid(const analysis::ShiftParams& p) {
-  std::printf("\nanalytic descent vs fluid model (offset after k "
-              "iterations, D0 = 0.1 T):\n");
+void cross_validate_with_flowsim(const analysis::ShiftParams& p) {
+  std::printf("\nanalytic descent vs flowsim (offset after k iterations, "
+              "D0 = 0.1 T):\n");
   const double d0 = 0.1 * p.period;
 
   const auto analytic = analysis::descend(d0, p, 40, 1e-9);
 
-  analysis::FluidConfig fc;
-  fc.dt = 1e-4;
-  fc.f = std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept);
-  std::vector<analysis::FluidJobSpec> jobs(2);
   const double comm = p.alpha * p.period;
-  for (auto& j : jobs) {
-    j.comm_seconds = comm;
-    j.compute_seconds = p.period - comm;
-  }
-  jobs[1].start_offset = d0;
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(30);
+  std::vector<analysis::PeriodicJob> jobs(
+      2, analysis::PeriodicJob{comm, p.period - comm, 0.0, 0.0});
+  jobs[1].start_s = d0;
+  const auto flow = analysis::run_dumbbell(
+      jobs,
+      std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept), 1,
+      30, 1e4);
+  bench::exit_if_truncated(flow, "Fig 5 cross-validation");
 
-  std::printf("iter,analytic_D,fluid_D\n");
-  for (int k = 0; k < 30; k += 3) {
-    double analytic_d =
-        k < static_cast<int>(analytic.trajectory.size())
-            ? analytic.trajectory[k]
-            : analytic.trajectory.back();
-    double fluid_d = 0.0;
-    const auto& r0 = fluid.iterations(0);
-    const auto& r1 = fluid.iterations(1);
-    if (k < static_cast<int>(r0.size()) && k < static_cast<int>(r1.size())) {
-      fluid_d = std::fmod(r1[k].comm_start - r0[k].comm_start, p.period);
-      if (fluid_d < 0) fluid_d += p.period;
-    }
-    std::printf("%d,%.4f,%.4f\n", k, analytic_d, fluid_d);
+  std::printf("iter,analytic_D,flowsim_D\n");
+  for (std::size_t k = 0; k < 30; k += 3) {
+    const double analytic_d = k < analytic.trajectory.size()
+                                  ? analytic.trajectory[k]
+                                  : analytic.trajectory.back();
+    std::printf("%zu,%.4f,%.4f\n", k, analytic_d, flow.offset(1, k, p.period));
   }
 }
 
@@ -99,7 +92,7 @@ int main() {
 
   print_shift_and_loss(p);
   print_descent(p);
-  cross_validate_with_fluid(p);
+  cross_validate_with_flowsim(p);
 
   std::printf("\nEq. 3 sanity: Shift(0)=%.4f, Shift(aT)=%.4f (both must be "
               "0); peak near the middle.\n",

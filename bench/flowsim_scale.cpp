@@ -17,12 +17,6 @@
 //    comparability (transfers/sec gate in record_flowsim_baseline.sh).
 //  - training: MLTCP training jobs — the weighted max-min path
 //    (F(bytes_ratio) refresh + water-filling) under sustained collectives.
-//  - poisson-sharded: PDES composition sanity point. The fabric is
-//    partitioned exactly as cluster_scale --shards does and the run executes
-//    under pdes::ShardedRunner; since the fluid backend posts no link
-//    deliveries, every flowsim event stays in shard 0 and the canonical
-//    (when,key) order makes the run byte-identical to serial — asserted
-//    against a serial twin (matched=1) before the RESULT line is trusted.
 //
 // Solver counters (recomputes, full_recomputes, waterfill_rounds/channels,
 // frozen_skips, dirty_links, heap_updates) are read back through the
@@ -32,11 +26,8 @@
 //
 // Modes:
 //   flowsim_scale            full campaign (enforces the 1M and 100x floors)
-//   flowsim_scale --quick    CI smoke variant (~1/10 transfers, no floors;
-//                            the sharded identity check still hard-fails)
+//   flowsim_scale --quick    CI smoke variant (~1/10 transfers, no floors)
 //   flowsim_scale --flows=N  arrival budget of the poisson-1m point
-//   flowsim_scale --shards=N shard count of the poisson-sharded point
-//                            (MLTCP_SHARDS is the env twin; minimum 2)
 
 #include <algorithm>
 #include <chrono>
@@ -54,8 +45,6 @@
 #include "core/mltcp.hpp"
 #include "flowsim/flow_simulator.hpp"
 #include "net/topology.hpp"
-#include "pdes/partition.hpp"
-#include "pdes/sharded_runner.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/reno.hpp"
 #include "telemetry/collect.hpp"
@@ -81,7 +70,6 @@ struct RunResult {
   std::string name;
   std::int64_t transfers = 0;  ///< Messages posted.
   std::int64_t completed = 0;
-  int shards = 1;
   double sim_s = 0.0;
   std::uint64_t events = 0;
   double wall_s = 0.0;
@@ -95,7 +83,6 @@ struct RunResult {
   double p99_fct_s = 0.0;  ///< 0 when the scenario has no FCT records.
   double rss_mb = 0.0;        ///< Process high-water mark at record time.
   double rss_delta_mb = 0.0;  ///< High-water growth across this run.
-  int matched = -1;  ///< Sharded sanity: 1 = identical to serial; -1 = n/a.
 };
 
 void print_result(const RunResult& r) {
@@ -112,20 +99,18 @@ void print_result(const RunResult& r) {
                                static_cast<double>(r.completed)
                          : 0.0;
   std::printf("RESULT name=%s transfers=%" PRId64 " completed=%" PRId64
-              " shards=%d sim_s=%.3f events=%" PRIu64 " wall_s=%.4f "
+              " sim_s=%.3f events=%" PRIu64 " wall_s=%.4f "
               "transfers_per_sec=%.1f events_per_sec=%.1f recomputes=%" PRId64
               " full_recomputes=%" PRId64 " waterfill_rounds=%" PRId64
               " waterfill_channels=%" PRId64 " fills_per_transfer=%.3f"
               " frozen_skips=%" PRId64 " dirty_links=%" PRId64
               " heap_updates=%" PRId64
-              " p99_fct_s=%.5f peak_rss_mb=%.1f rss_delta_mb=%.1f",
-              r.name.c_str(), r.transfers, r.completed, r.shards, r.sim_s,
-              r.events, r.wall_s, tps, eps, r.recomputes, r.full_recomputes,
+              " p99_fct_s=%.5f peak_rss_mb=%.1f rss_delta_mb=%.1f\n",
+              r.name.c_str(), r.transfers, r.completed, r.sim_s, r.events,
+              r.wall_s, tps, eps, r.recomputes, r.full_recomputes,
               r.waterfill_rounds, r.waterfill_channels, fpt, r.frozen_skips,
               r.dirty_links, r.heap_updates, r.p99_fct_s, r.rss_mb,
               r.rss_delta_mb);
-  if (r.matched >= 0) std::printf(" matched=%d", r.matched);
-  std::printf("\n");
   std::fflush(stdout);
 }
 
@@ -169,37 +154,16 @@ struct PoissonSpec {
   std::string name;
   double flows_per_second = 8000.0;
   int seconds = 60;
-  int shards = 1;       ///< Recorded; > 1 only meaningful with sharded.
-  bool sharded = false; ///< Execute under pdes::ShardedRunner (cooperative).
 };
 
 /// Poisson/Pareto matrix over the whole fabric.
-RunResult run_poisson(const PoissonSpec& spec,
-                      std::vector<double>* fcts_out = nullptr) {
+RunResult run_poisson(const PoissonSpec& spec) {
   bench::RssProbe rss = bench::RssProbe::begin();
   sim::Simulator sim;
   net::LeafSpine ls = make_fabric(sim);
   flowsim::FlowSimulator fs(sim, *ls.topology);
   workload::Cluster cluster(sim);
   cluster.set_backend(&fs);
-
-  // The sharded variant partitions the fabric exactly like cluster_scale
-  // --shards. The fluid backend posts no link deliveries, so no event ever
-  // crosses a shard cut: the arrival timer, the drain-heap timer and every
-  // completion run in shard 0 under the canonical (when,key) order, and the
-  // runner's conservative synchronization only advances the idle shards'
-  // clocks. Composing is the point being proven — the output must be
-  // byte-identical to the serial twin.
-  std::unique_ptr<pdes::ShardedRunner> runner;
-  pdes::Partition part;
-  if (spec.sharded) {
-    pdes::PartitionOptions popts;
-    popts.shards = spec.shards;
-    part = pdes::partition_topology(*ls.topology, popts);
-    sim.configure_shards(part.shards);
-    runner = std::make_unique<pdes::ShardedRunner>(
-        sim, *ls.topology, part, pdes::ShardedRunner::Mode::kCooperative);
-  }
 
   traffic::TrafficSource source(
       sim, cluster, all_hosts(ls),
@@ -218,18 +182,13 @@ RunResult run_poisson(const PoissonSpec& spec,
 
   const sim::SimTime horizon = tc.stop + sim::seconds(5);
   const auto t0 = std::chrono::steady_clock::now();
-  if (runner != nullptr) {
-    runner->run_until(horizon);
-  } else {
-    sim.run_until(horizon);
-  }
+  sim.run_until(horizon);
   const auto t1 = std::chrono::steady_clock::now();
 
   rss.end();
   RunResult r;
   r.name = spec.name;
   fill_solver_counters(r, fs);
-  r.shards = spec.shards;
   r.sim_s = sim::to_seconds(horizon);
   r.events = sim.events_executed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -238,14 +197,13 @@ RunResult run_poisson(const PoissonSpec& spec,
           .p99_s;
   r.rss_mb = rss.after_mb;
   r.rss_delta_mb = rss.delta_mb();
-  if (fcts_out != nullptr) *fcts_out = source.completed_fcts_seconds();
   return r;
 }
 
 /// MLTCP training jobs on the fabric: 256 jobs x 4 flows, enough iterations
 /// that the weighted-allocation path carries >= 100k messages in the full
 /// run. Placement mirrors cluster_scale (rack r -> rack r+1 round-robin).
-RunResult run_training(bool quick, int shards) {
+RunResult run_training(bool quick) {
   bench::RssProbe rss = bench::RssProbe::begin();
   sim::Simulator sim;
   net::LeafSpine ls = make_fabric(sim);
@@ -287,7 +245,6 @@ RunResult run_training(bool quick, int shards) {
   RunResult r;
   r.name = "training";
   fill_solver_counters(r, fs);
-  r.shards = shards;
   r.sim_s = sim::to_seconds(horizon);
   r.events = sim.events_executed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -296,51 +253,17 @@ RunResult run_training(bool quick, int shards) {
   return r;
 }
 
-/// Serial twin vs. sharded run of the same quick-scale poisson matrix;
-/// returns the sharded RunResult with matched=1 iff transfers, completions,
-/// solver counters and the full FCT vector are bit-identical.
-RunResult run_sharded_sanity(int shards) {
-  PoissonSpec serial_spec;
-  serial_spec.name = "poisson-sharded";
-  serial_spec.flows_per_second = 8000.0;
-  serial_spec.seconds = 6;
-  std::vector<double> serial_fcts;
-  const RunResult serial = run_poisson(serial_spec, &serial_fcts);
-
-  PoissonSpec sharded_spec = serial_spec;
-  sharded_spec.shards = shards;
-  sharded_spec.sharded = true;
-  std::vector<double> sharded_fcts;
-  RunResult r = run_poisson(sharded_spec, &sharded_fcts);
-
-  const bool matched =
-      serial.transfers == r.transfers && serial.completed == r.completed &&
-      serial.recomputes == r.recomputes &&
-      serial.waterfill_rounds == r.waterfill_rounds &&
-      serial.waterfill_channels == r.waterfill_channels &&
-      serial_fcts.size() == sharded_fcts.size() &&
-      std::equal(serial_fcts.begin(), serial_fcts.end(),
-                 sharded_fcts.begin());
-  r.matched = matched ? 1 : 0;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int shards = pdes::shards_from_env();
   std::int64_t flows = kDefaultFlows;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::max(1, std::atoi(argv[i] + 9));
-    }
     if (std::strncmp(argv[i], "--flows=", 8) == 0) {
       flows = std::max<std::int64_t>(1, std::atoll(argv[i] + 8));
     }
   }
-  shards = std::max(2, shards);  // The sanity point needs a real partition.
   bench::print_header(quick ? "flowsim scale (quick)" : "flowsim scale");
   std::printf("packet-path ceiling (cluster_scale): %" PRId64
               " flows; poisson floor: %" PRId64 " transfers (100x); "
@@ -363,36 +286,28 @@ int main(int argc, char** argv) {
   base.flows_per_second = 8000.0;
   base.seconds = quick ? 6 : 60;
   results.push_back(run_poisson(base));
-  results.push_back(run_training(quick, 1));
-  results.push_back(run_sharded_sanity(shards));
+  results.push_back(run_training(quick));
   for (const RunResult& r : results) print_result(r);
 
   auto csv = bench::open_csv(
       "flowsim_scale",
-      {"name", "transfers", "completed", "shards", "sim_s", "events",
+      {"name", "transfers", "completed", "sim_s", "events",
        "wall_s", "recomputes", "full_recomputes", "waterfill_rounds",
        "waterfill_channels", "frozen_skips", "dirty_links", "heap_updates",
-       "p99_fct_s", "peak_rss_mb", "rss_delta_mb", "matched"});
+       "p99_fct_s", "peak_rss_mb", "rss_delta_mb"});
   for (const RunResult& r : results) {
     csv->row({r.name, std::to_string(r.transfers), std::to_string(r.completed),
-              std::to_string(r.shards), std::to_string(r.sim_s),
+              std::to_string(r.sim_s),
               std::to_string(r.events), std::to_string(r.wall_s),
               std::to_string(r.recomputes), std::to_string(r.full_recomputes),
               std::to_string(r.waterfill_rounds),
               std::to_string(r.waterfill_channels),
               std::to_string(r.frozen_skips), std::to_string(r.dirty_links),
               std::to_string(r.heap_updates), std::to_string(r.p99_fct_s),
-              std::to_string(r.rss_mb), std::to_string(r.rss_delta_mb),
-              std::to_string(r.matched)});
+              std::to_string(r.rss_mb), std::to_string(r.rss_delta_mb)});
   }
 
   bool failed = false;
-  const RunResult& sharded = results.back();
-  if (sharded.matched != 1) {
-    std::printf("FLOWSIM SHARDED SANITY FAILED: sharded run diverged from "
-                "the serial twin\n");
-    failed = true;
-  }
   if (!quick) {
     const std::int64_t million_done = results[0].completed;
     const std::int64_t completed = results[1].completed;

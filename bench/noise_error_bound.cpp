@@ -2,18 +2,19 @@
 // iteration time, MLTCP's convergence error is normally distributed with
 // standard deviation <= 2*sigma*(1 + Intercept/Slope).
 //
-// We run the two-job fluid model to steady state for a sweep of sigma and
-// compare the measured std of the offset (around T/2, a = 1/2) against the
-// closed-form bound, and also validate the bound on the discrete
-// gradient-descent recursion directly.
+// We run two jobs on a flowsim dumbbell to steady state for a sweep of sigma
+// and compare the measured std of the offset (around T/2, a = 1/2) against
+// the closed-form bound, and also validate the bound on the discrete
+// gradient-descent recursion directly. Exits 1 when any measurement exceeds
+// the bound by more than 15%.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/shift.hpp"
 #include "bench_common.hpp"
@@ -23,45 +24,29 @@ namespace {
 
 using namespace mltcp;
 
-/// Measured steady-state offset deviation from the fluid model.
-double fluid_error_std(double sigma, const analysis::ShiftParams& p,
-                       std::uint64_t seed) {
-  analysis::FluidConfig fc;
-  fc.dt = 2e-4;
-  fc.seed = seed;
-  fc.f = std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept);
-
+/// Measured steady-state offset deviation of two jobs on a flowsim dumbbell.
+double flowsim_error_std(double sigma, const analysis::ShiftParams& p,
+                         std::uint64_t seed) {
   const double comm = p.alpha * p.period;
-  std::vector<analysis::FluidJobSpec> jobs(2);
-  for (auto& j : jobs) {
-    j.comm_seconds = comm;
-    j.compute_seconds = p.period - comm;
-    j.noise_stddev = sigma;
-  }
-  jobs[1].start_offset = 0.25 * p.period;
-  analysis::FluidSimulator fluid(fc, jobs);
-  const int total_iters = 400;
-  if (!fluid.run_iterations(total_iters, 1e5)) {
-    // A truncated run would bias the steady-state error std towards the
-    // transient; fail loudly instead of folding it into the sweep.
-    std::fprintf(stderr,
-                 "FATAL: fluid run truncated (sigma=%.4f seed=%llu): "
-                 "only %zu/%zu iterations\n",
-                 sigma, static_cast<unsigned long long>(seed),
-                 std::min(fluid.iterations(0).size(),
-                          fluid.iterations(1).size()),
-                 static_cast<std::size_t>(total_iters));
-    std::exit(1);
-  }
+  std::vector<analysis::PeriodicJob> jobs(
+      2, analysis::PeriodicJob{comm, p.period - comm, 0.0, sigma});
+  jobs[1].start_s = 0.25 * p.period;
+  const auto run = analysis::run_dumbbell(
+      jobs,
+      std::make_shared<core::LinearAggressiveness>(p.slope, p.intercept),
+      seed, 400, 1e5);
+  // A truncated run would bias the steady-state error std towards the
+  // transient; fail loudly instead of folding it into the sweep.
+  char what[64];
+  std::snprintf(what, sizeof(what), "sigma=%.4f seed=%llu", sigma,
+                static_cast<unsigned long long>(seed));
+  bench::exit_if_truncated(run, what);
 
-  const auto& r0 = fluid.iterations(0);
-  const auto& r1 = fluid.iterations(1);
-  const std::size_t n = std::min(r0.size(), r1.size());
+  const std::size_t n =
+      std::min(run.iterations[0].size(), run.iterations[1].size());
   std::vector<double> errors;
   for (std::size_t i = 100; i < n; ++i) {  // skip convergence transient
-    double off = std::fmod(r1[i].comm_start - r0[i].comm_start, p.period);
-    if (off < 0) off += p.period;
-    errors.push_back(off - p.period / 2.0);
+    errors.push_back(run.offset(1, i, p.period) - p.period / 2.0);
   }
   return analysis::stddev(errors);
 }
@@ -95,11 +80,11 @@ int main() {
   p.alpha = 0.5;
   p.period = 1.8;
 
-  // Each sigma is an independent 400-iteration fluid run plus a 4000-step
+  // Each sigma is an independent 400-iteration flowsim run plus a 4000-step
   // recursion: shard the sweep across threads, print rows in sweep order.
   struct Row {
     double bound;
-    double fluid;
+    double flowsim;
     double recursion;
   };
   const std::vector<double> sigmas = {0.002, 0.005, 0.01, 0.02, 0.04};
@@ -108,23 +93,28 @@ int main() {
       [&p](const double sigma, std::size_t) {
         return Row{
             analysis::predicted_error_stddev(sigma, p.slope, p.intercept),
-            fluid_error_std(sigma, p, 1234),
+            flowsim_error_std(sigma, p, 1234),
             recursion_error_std(sigma, p, 77)};
       },
       mltcp::bench::campaign_options());
 
-  std::printf("\nsigma_s,predicted_bound_s,fluid_measured_s,"
+  std::printf("\nsigma_s,predicted_bound_s,flowsim_measured_s,"
               "recursion_measured_s\n");
+  bool exceeded = false;
   for (std::size_t i = 0; i < sigmas.size(); ++i) {
     const Row& r = rows[i];
-    std::printf("%.3f,%.4f,%.4f,%.4f%s\n", sigmas[i], r.bound, r.fluid,
-                r.recursion,
-                (r.fluid <= r.bound * 1.15 && r.recursion <= r.bound * 1.15)
-                    ? ""
-                    : "  <-- exceeds bound");
+    const bool within =
+        r.flowsim <= r.bound * 1.15 && r.recursion <= r.bound * 1.15;
+    exceeded = exceeded || !within;
+    std::printf("%.3f,%.4f,%.4f,%.4f%s\n", sigmas[i], r.bound, r.flowsim,
+                r.recursion, within ? "" : "  <-- exceeds bound");
   }
 
   std::printf("\nExpected shape: measured error grows linearly with sigma "
               "and stays at or below the bound.\n");
+  if (exceeded) {
+    std::printf("NOISE BOUND FAILED: a measurement exceeds 1.15x the bound\n");
+    return 1;
+  }
   return 0;
 }

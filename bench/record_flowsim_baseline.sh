@@ -4,9 +4,9 @@
 # record_scale_baseline.sh tracks the packet path's events/sec.
 #
 # Runs bench/flowsim_scale (RESULT lines: poisson-1m million-transfer point,
-# poisson matrix, MLTCP training campaign, poisson-sharded PDES sanity) and
-# merges the parsed numbers into the JSON file. Existing sections other than
-# the one being written are preserved, so recorded baselines survive re-runs.
+# poisson matrix, MLTCP training campaign) and merges the parsed numbers into
+# the JSON file. Existing sections other than the one being written are
+# preserved, so recorded baselines survive re-runs.
 #
 # Two gates run when CHECK_AGAINST is set:
 #  - throughput: transfers/sec must stay within TOLERANCE of the named
@@ -50,9 +50,9 @@ import json, sys
 tolerance = float(tolerance)
 recompute_ceiling = float(recompute_ceiling)
 
-INT_KEYS = {"transfers", "completed", "shards", "events", "recomputes",
+INT_KEYS = {"transfers", "completed", "events", "recomputes",
             "full_recomputes", "waterfill_rounds", "waterfill_channels",
-            "frozen_skips", "dirty_links", "heap_updates", "matched"}
+            "frozen_skips", "dirty_links", "heap_updates"}
 runs = []
 with open(raw_path) as f:
     for line in f:

@@ -1,6 +1,7 @@
 // Explore the design space of bandwidth aggressiveness functions with the
-// fast fluid model: how do Slope/Intercept (or an arbitrary custom F) change
-// convergence speed and steady-state interleaving for N periodic jobs?
+// flow-level simulator on a dumbbell: how do Slope/Intercept (or an
+// arbitrary custom F) change convergence speed and steady-state
+// interleaving for N periodic jobs?
 //
 //   ./build/examples/aggressiveness_explorer              # default sweep
 //   ./build/examples/aggressiveness_explorer 8 0.1 0.02   # jobs a noise
@@ -13,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/shift.hpp"
 #include "core/aggressiveness.hpp"
@@ -30,29 +31,28 @@ struct SweepResult {
   double tail_excess_per_second = 0.0;
 };
 
+/// Exits 2 when the run hits its time budget before every job finishes.
 SweepResult evaluate(std::shared_ptr<const core::AggressivenessFunction> f,
                      int jobs, double comm_fraction, double noise) {
-  analysis::FluidConfig cfg;
-  cfg.dt = 5e-4;
-  cfg.f = std::move(f);
-  cfg.seed = 11;
-
-  std::vector<analysis::FluidJobSpec> specs(jobs);
+  std::vector<analysis::PeriodicJob> specs;
   for (int j = 0; j < jobs; ++j) {
-    specs[j].comm_seconds = comm_fraction * kPeriod;
-    specs[j].compute_seconds = (1.0 - comm_fraction) * kPeriod;
-    specs[j].noise_stddev = noise;
-    specs[j].start_offset = 0.015 * j;  // symmetry breaker
+    specs.push_back({comm_fraction * kPeriod,
+                     (1.0 - comm_fraction) * kPeriod,
+                     0.015 * j,  // symmetry breaker
+                     noise});
   }
-  analysis::FluidSimulator fluid(cfg, specs);
-  const int iterations = 200;
-  fluid.run_iterations(iterations, 1e4);
+  const auto run = analysis::run_dumbbell(specs, std::move(f), 11, 200, 1e4);
+  if (run.truncated) {
+    std::fprintf(stderr, "run truncated before every job completed its "
+                         "iterations\n");
+    std::exit(2);
+  }
 
   SweepResult out;
   int conv = 0;
   std::vector<double> tails;
   for (int j = 0; j < jobs; ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = run.iteration_times(j);
     tails.push_back(analysis::tail_mean(times, 20));
     int last_bad = -1;
     for (std::size_t i = 0; i + 20 < times.size(); ++i) {
@@ -64,10 +64,8 @@ SweepResult evaluate(std::shared_ptr<const core::AggressivenessFunction> f,
   out.convergence_iteration =
       out.converged_time < kPeriod * 1.05 ? conv : -1;
 
-  fluid.reset_excess();
-  const double horizon = 20.0;
-  fluid.run_until(fluid.now() + horizon);
-  out.tail_excess_per_second = fluid.accumulated_excess() / horizon;
+  const double window = 20.0;
+  out.tail_excess_per_second = run.trailing_overlap_seconds(window) / window;
   return out;
 }
 
@@ -96,7 +94,7 @@ int main(int argc, char** argv) {
                  jobs, a);
     return 2;
   }
-  std::printf("fluid sweep: %d jobs, comm fraction %.2f (utilization %.2f), "
+  std::printf("flowsim sweep: %d jobs, comm fraction %.2f (utilization %.2f), "
               "noise %.3fs, T = %.1fs\n\n",
               jobs, a, jobs * a, noise, kPeriod);
 

@@ -1,7 +1,8 @@
 // Capacity planning for an ML cluster operator: given a mix of training
 // jobs on one bottleneck, report
 //   - whether a fully interleaved schedule exists (centralized optimizer),
-//   - the iteration times MLTCP is predicted to converge to (fluid model),
+//   - the iteration times MLTCP is predicted to converge to (flow-level
+//     simulator on a dumbbell),
 //   - how many iterations convergence takes from a cold start,
 //   - a short packet-level MLTCP-Reno spot check of the same mix, with every
 //     component's counters absorbed into one telemetry::MetricRegistry and
@@ -23,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fluid_model.hpp"
+#include "analysis/dumbbell_run.hpp"
 #include "analysis/metrics.hpp"
 #include "core/mltcp.hpp"
 #include "net/topology.hpp"
@@ -119,7 +120,9 @@ runner::Report packet_validation(const std::vector<JobMix>& mix) {
   return rep;
 }
 
-runner::Report analyze(const std::vector<JobMix>& mix) {
+/// Sets `truncated` (and stops early) when the flow-level run hit its time
+/// budget before every job finished.
+runner::Report analyze(const std::vector<JobMix>& mix, bool& truncated) {
   runner::Report rep;
   double utilization = 0.0;
   for (const auto& j : mix) utilization += j.comm_fraction;
@@ -146,25 +149,23 @@ runner::Report analyze(const std::vector<JobMix>& mix) {
   }
   rep.addf("\n\n");
 
-  // 2. What does distributed MLTCP converge to? (fluid model)
-  analysis::FluidConfig fc;
-  fc.dt = 1e-3;
-  std::vector<analysis::FluidJobSpec> jobs;
+  // 2. What does distributed MLTCP converge to? (flow-level model)
+  std::vector<analysis::PeriodicJob> jobs;
   for (std::size_t i = 0; i < mix.size(); ++i) {
-    analysis::FluidJobSpec spec;
-    spec.comm_seconds = mix[i].period_s * mix[i].comm_fraction;
-    spec.compute_seconds = mix[i].period_s - spec.comm_seconds;
-    spec.start_offset = 0.01 * static_cast<double>(i);  // symmetry breaker
-    jobs.push_back(spec);
+    const double comm_s = mix[i].period_s * mix[i].comm_fraction;
+    jobs.push_back({comm_s, mix[i].period_s - comm_s,
+                    0.01 * static_cast<double>(i),  // symmetry breaker
+                    0.0});
   }
-  analysis::FluidSimulator fluid(fc, jobs);
-  fluid.run_iterations(300, 1e4);
+  const auto run = analysis::run_dumbbell(jobs, nullptr, 1, 300, 1e4);
+  truncated = run.truncated;
+  if (truncated) return rep;
 
-  rep.addf("MLTCP (fluid model, Slope 1.75 / Intercept 0.25):\n");
+  rep.addf("MLTCP (flowsim dumbbell, Slope 1.75 / Intercept 0.25):\n");
   rep.addf("%-6s %10s %14s %16s %14s\n", "job", "ideal_s", "converged_s",
            "slowdown", "converged_by");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto times = fluid.iteration_times(j);
+    const auto times = run.iteration_times(j);
     const double converged = analysis::tail_mean(times, 20);
     int last_bad = -1;
     for (std::size_t i = 0; i + 20 < times.size(); ++i) {
@@ -175,10 +176,8 @@ runner::Report analyze(const std::vector<JobMix>& mix) {
              last_bad + 1);
   }
 
-  fluid.reset_excess();
-  fluid.run_until(fluid.now() + 30.0);
   rep.addf("\nresidual comm overlap in steady state: %.4f s/s\n",
-           fluid.accumulated_excess() / 30.0);
+           run.trailing_overlap_seconds(30.0) / 30.0);
   if (schedule.excess == 0) {
     rep.addf("verdict: this mix self-interleaves under MLTCP; expect "
              "near-ideal iteration times.\n");
@@ -197,21 +196,33 @@ runner::Report analyze(const std::vector<JobMix>& mix) {
 int main(int argc, char** argv) {
   const std::vector<std::vector<JobMix>> mixes = parse(argc, argv);
 
+  // One slot per mix, each written by its own campaign task.
+  std::vector<char> truncated(mixes.size(), 0);
   std::vector<runner::SimSpec> specs;
   for (std::size_t m = 0; m < mixes.size(); ++m) {
     runner::SimSpec spec;
     spec.name = "mix" + std::to_string(m);
     const std::vector<JobMix>& mix = mixes[m];
     const bool banner = mixes.size() > 1;
-    spec.run = [&mix, m, banner](const runner::SimSpec&) {
+    spec.run = [&mix, m, banner, &truncated](const runner::SimSpec&) {
       runner::Report rep;
       if (banner) rep.addf("======== mix %zu ========\n", m);
-      rep.add(analyze(mix).text());
+      bool cut = false;
+      rep.add(analyze(mix, cut).text());
+      truncated[m] = cut;
       if (banner) rep.addf("\n");
       return rep;
     };
     specs.push_back(std::move(spec));
   }
   runner::run_and_print(specs, runner::options_from_env());
+  for (std::size_t m = 0; m < mixes.size(); ++m) {
+    if (truncated[m]) {
+      std::fprintf(stderr, "mix %zu: flow-level run truncated before every "
+                           "job completed its iterations\n",
+                   m);
+      return 2;
+    }
+  }
   return 0;
 }

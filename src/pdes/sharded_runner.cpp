@@ -65,6 +65,18 @@ ShardedRunner::~ShardedRunner() {
 }
 
 bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
+  // Safe horizon: strictly below the minimum inbound LBTS (a neighbour may
+  // still emit a delivery exactly at its promised bound), and never past
+  // the phase bound. Read the bounds BEFORE draining: a producer pushes a
+  // delivery before it advances the LBTS past it, so every delivery below
+  // the bound observed here is already in the inbox. Draining first would
+  // let a concurrent push-then-advance slip in between, and the shard would
+  // run local work past a delivery it never saw.
+  sim::SimTime lbts_min = sim::kTimeInfinity;
+  for (const Inbound& in : s.inbound) {
+    lbts_min = std::min(lbts_min, in.channel->lbts());
+  }
+
   // Pull everything neighbours pushed since the last quantum. Per-channel
   // order is time order, so appending preserves the stream.
   for (Inbound& in : s.inbound) {
@@ -73,14 +85,6 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
       in.head = 0;
     }
     in.channel->drain(in.pending);
-  }
-
-  // Safe horizon: strictly below the minimum inbound LBTS (a neighbour may
-  // still emit a delivery exactly at its promised bound), and never past
-  // the phase bound.
-  sim::SimTime lbts_min = sim::kTimeInfinity;
-  for (const Inbound& in : s.inbound) {
-    lbts_min = std::min(lbts_min, in.channel->lbts());
   }
 
   sim::SimTime now_limit =

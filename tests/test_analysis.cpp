@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "analysis/fluid_model.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/shift.hpp"
 
@@ -152,92 +151,6 @@ TEST(Descent, ErrorBoundFormula) {
   // Larger intercept/slope ratio -> larger steady-state error.
   EXPECT_GT(predicted_error_stddev(0.01, 1.0, 1.0),
             predicted_error_stddev(0.01, 2.0, 0.5));
-}
-
-// ------------------------------------------------------------ fluid model
-
-FluidJobSpec fluid_job(double comm, double compute, double offset = 0.0) {
-  FluidJobSpec j;
-  j.comm_seconds = comm;
-  j.compute_seconds = compute;
-  j.start_offset = offset;
-  return j;
-}
-
-TEST(Fluid, SingleJobRunsAtIdealPeriod) {
-  FluidConfig cfg;
-  cfg.dt = 1e-4;
-  FluidSimulator fluid(cfg, {fluid_job(0.3, 0.9)});
-  fluid.run_iterations(10);
-  for (const double t : fluid.iteration_times(0)) {
-    EXPECT_NEAR(t, 1.2, 0.002);
-  }
-}
-
-TEST(Fluid, TwoAlignedUnitGainJobsStayCongested) {
-  FluidConfig cfg;
-  cfg.dt = 1e-4;
-  cfg.f = std::make_shared<core::CustomAggressiveness>(
-      [](double) { return 1.0; }, "unit");
-  FluidSimulator fluid(cfg, {fluid_job(0.45, 1.35), fluid_job(0.45, 1.35)});
-  fluid.run_iterations(30, 200.0);
-  // Fair sharing preserves the overlap: both jobs stay at comm 0.9 forever.
-  const auto times = fluid.iteration_times(0);
-  ASSERT_GE(times.size(), 30u);
-  EXPECT_NEAR(times.back(), 0.9 + 1.35, 0.01);
-}
-
-TEST(Fluid, TwoMltcpJobsConvergeToIdeal) {
-  FluidConfig cfg;
-  cfg.dt = 1e-4;
-  FluidSimulator fluid(cfg,
-                       {fluid_job(0.45, 1.35), fluid_job(0.45, 1.35, 0.05)});
-  fluid.run_iterations(40, 300.0);
-  for (std::size_t j = 0; j < 2; ++j) {
-    const auto times = fluid.iteration_times(j);
-    ASSERT_GE(times.size(), 40u);
-    EXPECT_NEAR(times.back(), 1.8, 0.01) << "job " << j;
-  }
-}
-
-TEST(Fluid, ManyJobsInterleave) {
-  FluidConfig cfg;
-  cfg.dt = 5e-4;
-  std::vector<FluidJobSpec> jobs;
-  for (int i = 0; i < 5; ++i) {
-    jobs.push_back(fluid_job(0.3, 1.5, 0.01 * i));
-  }
-  FluidSimulator fluid(cfg, jobs);
-  fluid.run_iterations(120, 500.0);
-  fluid.reset_excess();
-  fluid.run_until(fluid.now() + 20.0);
-  EXPECT_NEAR(fluid.accumulated_excess(), 0.0, 0.2);
-}
-
-TEST(Fluid, ExcessAccumulatesUnderContention) {
-  FluidConfig cfg;
-  cfg.dt = 1e-3;
-  cfg.f = std::make_shared<core::CustomAggressiveness>(
-      [](double) { return 1.0; }, "unit");
-  FluidSimulator fluid(cfg, {fluid_job(0.5, 0.5), fluid_job(0.5, 0.5)});
-  fluid.run_until(10.0);
-  EXPECT_GT(fluid.accumulated_excess(), 1.0);
-}
-
-TEST(Fluid, MatchesAnalyticShiftPerIteration) {
-  // One descent step of the fluid model equals Eq. 3's shift.
-  const ShiftParams p = half_comm();
-  const double d0 = 0.2;
-  FluidConfig cfg;
-  cfg.dt = 5e-5;
-  FluidSimulator fluid(cfg, {fluid_job(0.9, 0.9), fluid_job(0.9, 0.9, d0)});
-  fluid.run_iterations(2, 50.0);
-  const auto& r0 = fluid.iterations(0);
-  const auto& r1 = fluid.iterations(1);
-  ASSERT_GE(r0.size(), 2u);
-  ASSERT_GE(r1.size(), 2u);
-  const double d1 = r1[1].comm_start - r0[1].comm_start;
-  EXPECT_NEAR(d1 - d0, shift_eq3(d0, p), 0.01);
 }
 
 // ---------------------------------------------------------------- metrics

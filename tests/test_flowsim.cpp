@@ -3,8 +3,10 @@
 // resolution must agree with the packet backend's ECMP hash, faults must
 // stall/derate/reroute fluid flows the way they kill packets, channels must
 // keep connection FIFO semantics, campaign output must stay byte-identical
-// across thread counts, and a small-topology run must land within a stated
-// tolerance of the packet backend.
+// across thread counts, a small-topology run must land within a stated
+// tolerance of the packet backend, and periodic jobs on a dumbbell must
+// follow the §4 fluid dynamics (Eq. 3 shift, interleaving, fair-share
+// overlap) that the convergence and noise-bound benches build on.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dumbbell_run.hpp"
+#include "analysis/metrics.hpp"
+#include "analysis/shift.hpp"
 #include "core/aggressiveness.hpp"
 #include "core/mltcp.hpp"
 #include "flowsim/flow_simulator.hpp"
@@ -721,6 +726,231 @@ TEST(FlowsimParity, SmallTopologyIterationTimesMatchPacketBackend) {
   ASSERT_EQ(fluid_iters, 15);
   EXPECT_NEAR(fluid_mean, packet_mean, 0.25 * packet_mean)
       << "fluid iteration time drifted beyond the 25% parity bound";
+}
+
+// ------------------------------------------------- §4 model on a dumbbell
+
+analysis::PeriodicJob periodic(double comm, double compute, double start = 0.0,
+                               double noise = 0.0) {
+  return analysis::PeriodicJob{comm, compute, start, noise};
+}
+
+/// Constant F: plain TCP's equal share.
+std::shared_ptr<const core::AggressivenessFunction> unit_gain() {
+  return std::make_shared<core::CustomAggressiveness>(
+      [](double) { return 1.0; }, "unit");
+}
+
+TEST(FlowsimDumbbell, SingleJobRunsAtIdealPeriod) {
+  const auto run =
+      analysis::run_dumbbell({periodic(0.3, 0.9)}, nullptr, 1, 10, 100.0);
+  ASSERT_FALSE(run.truncated);
+  for (const double t : run.iteration_times(0)) EXPECT_NEAR(t, 1.2, 0.002);
+}
+
+TEST(FlowsimDumbbell, TwoAlignedUnitGainJobsStayCongested) {
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.45, 1.35), periodic(0.45, 1.35)}, unit_gain(), 1, 30, 200.0);
+  ASSERT_FALSE(run.truncated);
+  // Fair sharing preserves the overlap: both jobs stay at comm 0.9 forever.
+  EXPECT_NEAR(run.iteration_times(0).back(), 0.9 + 1.35, 0.01);
+  // A window of exactly two periods ending on an iteration boundary holds
+  // two fully overlapped comm phases.
+  EXPECT_NEAR(run.trailing_overlap_seconds(2 * 2.25), 2 * 0.9, 0.01);
+}
+
+TEST(FlowsimDumbbell, TwoMltcpJobsConvergeToIdeal) {
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.45, 1.35), periodic(0.45, 1.35, 0.05)}, nullptr, 1, 40,
+      300.0);
+  ASSERT_FALSE(run.truncated);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_NEAR(run.iteration_times(j).back(), 1.8, 0.01) << "job " << j;
+  }
+}
+
+TEST(FlowsimDumbbell, ManyJobsInterleave) {
+  std::vector<analysis::PeriodicJob> jobs;
+  for (int i = 0; i < 5; ++i) jobs.push_back(periodic(0.3, 1.5, 0.01 * i));
+  const auto run = analysis::run_dumbbell(jobs, nullptr, 1, 132, 500.0);
+  ASSERT_FALSE(run.truncated);
+  EXPECT_NEAR(run.trailing_overlap_seconds(20.0), 0.0, 0.2);
+}
+
+TEST(FlowsimDumbbell, UnitGainOverlapPersists) {
+  // Staggered like TwoMltcpJobsConvergeToIdeal, but fair sharing keeps the
+  // stagger (and ~0.9 s of overlap per iteration) instead of growing it.
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.5, 0.5), periodic(0.5, 0.5, 0.05)}, unit_gain(), 1, 20,
+      100.0);
+  ASSERT_FALSE(run.truncated);
+  EXPECT_GT(run.trailing_overlap_seconds(10.0), 1.0);
+}
+
+TEST(FlowsimDumbbell, OneIterationShiftMatchesEq3) {
+  // One descent step of the flow-level model equals Eq. 3's shift.
+  analysis::ShiftParams p;
+  p.alpha = 0.5;
+  p.period = 1.8;
+  const double d0 = 0.2;
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.9, 0.9), periodic(0.9, 0.9, d0)}, nullptr, 1, 2, 50.0);
+  ASSERT_FALSE(run.truncated);
+  EXPECT_NEAR(run.offset(1, 1, p.period) - d0, analysis::shift_eq3(d0, p),
+              1e-3);
+}
+
+TEST(FlowsimDumbbell, OneIterationShiftMatchesEq3AcrossOffsets) {
+  // Eq. 3 over its native domain [0, a*T]: a small shift when the trailing
+  // job barely lags, the largest near the middle, and again small as it
+  // approaches the interleaved point a*T.
+  analysis::ShiftParams p;
+  p.alpha = 0.5;
+  p.period = 1.8;
+  for (const double d0 : {0.05, 0.5, 0.8}) {
+    const auto run = analysis::run_dumbbell(
+        {periodic(0.9, 0.9), periodic(0.9, 0.9, d0)}, nullptr, 1, 2, 50.0);
+    ASSERT_FALSE(run.truncated) << "d0 " << d0;
+    EXPECT_NEAR(run.offset(1, 1, p.period) - d0, analysis::shift_eq3(d0, p),
+                1e-3)
+        << "d0 " << d0;
+  }
+}
+
+TEST(FlowsimDumbbell, IsolatedCommPhaseLastsCommSeconds) {
+  // comm_s is defined as the comm duration with the bottleneck to itself,
+  // whatever message size that takes on the fabric.
+  for (const double comm : {0.05, 0.3, 0.9}) {
+    const auto run =
+        analysis::run_dumbbell({periodic(comm, 0.5)}, nullptr, 1, 3, 100.0);
+    ASSERT_FALSE(run.truncated);
+    for (const auto& r : run.iterations[0]) {
+      EXPECT_NEAR(sim::to_seconds(r.comm_end - r.comm_start), comm, 1e-3)
+          << "comm " << comm;
+      EXPECT_NEAR(sim::to_seconds(r.iter_end - r.comm_end), 0.5, 1e-6)
+          << "comm " << comm;
+    }
+  }
+}
+
+TEST(FlowsimDumbbell, TrailingOverlapCountsOnlyTheWindow) {
+  // An MLTCP pair started almost aligned overlaps heavily at first and not
+  // at all once interleaved: the whole-run overlap is large, the trailing
+  // window's is zero.
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.45, 1.35), periodic(0.45, 1.35, 0.05)}, nullptr, 1, 40,
+      300.0);
+  ASSERT_FALSE(run.truncated);
+  const double span =
+      sim::to_seconds(std::min(run.iterations[0].back().iter_end,
+                               run.iterations[1].back().iter_end));
+  EXPECT_GT(run.trailing_overlap_seconds(span), 0.3);
+  EXPECT_NEAR(run.trailing_overlap_seconds(10 * 1.8), 0.0, 1e-3);
+}
+
+TEST(FlowsimDumbbell, NoisyPairStaysWithinSection4Bound) {
+  // §4: with per-iteration compute noise of std sigma, the converged offset
+  // of two a = 1/2 jobs scatters around T/2 with std at most
+  // 2 * sigma * (1 + Intercept/Slope).
+  analysis::ShiftParams p;
+  p.alpha = 0.5;
+  p.period = 1.8;
+  const double sigma = 0.01;
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.9, 0.9, 0.0, sigma), periodic(0.9, 0.9, 0.45, sigma)},
+      nullptr, 1234, 300, 1e4);
+  ASSERT_FALSE(run.truncated);
+  std::vector<double> errors;
+  for (std::size_t i = 100; i < 300; ++i) {
+    errors.push_back(run.offset(1, i, p.period) - p.period / 2.0);
+  }
+  const double bound =
+      analysis::predicted_error_stddev(sigma, p.slope, p.intercept);
+  EXPECT_GT(analysis::stddev(errors), 0.0) << "noise must perturb the offset";
+  EXPECT_LE(analysis::stddev(errors), bound);
+  EXPECT_NEAR(analysis::mean(errors), 0.0, bound);
+}
+
+TEST(FlowsimDumbbell, RunsAreDeterministic) {
+  // Every record field, not just iteration times, repeats exactly.
+  const auto records = [] {
+    return analysis::run_dumbbell(
+               {periodic(0.45, 1.35, 0.0, 0.01),
+                periodic(0.45, 1.35, 0.05, 0.01),
+                periodic(0.3, 1.5, 0.2, 0.01)},
+               nullptr, 7, 30, 1e4)
+        .iterations;
+  };
+  const auto a = records();
+  const auto b = records();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    ASSERT_EQ(a[j].size(), b[j].size()) << "job " << j;
+    for (std::size_t i = 0; i < a[j].size(); ++i) {
+      EXPECT_EQ(a[j][i].comm_start, b[j][i].comm_start) << j << '/' << i;
+      EXPECT_EQ(a[j][i].comm_end, b[j][i].comm_end) << j << '/' << i;
+      EXPECT_EQ(a[j][i].iter_end, b[j][i].iter_end) << j << '/' << i;
+    }
+  }
+}
+
+TEST(FlowsimDumbbell, HeterogeneousPeriodsRunAtTheirOwnRate) {
+  // Interleavable pair with different periods (1.2 s and 1.8 s).
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.3, 0.9), periodic(0.27, 1.53, 0.35)}, nullptr, 1, 60, 1e4);
+  ASSERT_FALSE(run.truncated);
+  EXPECT_NEAR(analysis::tail_mean(run.iteration_times(0), 10), 1.2, 0.02);
+  EXPECT_NEAR(analysis::tail_mean(run.iteration_times(1), 10), 1.8, 0.02);
+}
+
+TEST(FlowsimDumbbell, OverloadedLinkSharesShortfallAcrossJobs) {
+  // Three jobs each demanding half the link: utilization 1.5, no schedule
+  // can reach the ideal; everyone's converged iteration must exceed it.
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.9, 0.9), periodic(0.9, 0.9, 0.2), periodic(0.9, 0.9, 0.4)},
+      nullptr, 1, 60, 1e4);
+  ASSERT_FALSE(run.truncated);
+  double mean_all = 0.0;
+  for (std::size_t j = 0; j < 3; ++j) {
+    const double tail = analysis::tail_mean(run.iteration_times(j), 10);
+    EXPECT_GT(tail, 1.9) << j;
+    mean_all += tail / 3.0;
+  }
+  EXPECT_NEAR(mean_all, 0.9 * 3.0 * 0.9 + 0.9, 0.9)
+      << "sanity: shortfall bounded";
+}
+
+TEST(FlowsimDumbbell, StaggeredStartsHonored) {
+  const auto run = analysis::run_dumbbell(
+      {periodic(0.2, 1.0), periodic(0.2, 1.0, 0.5)}, nullptr, 1, 2, 100.0);
+  ASSERT_FALSE(run.truncated);
+  EXPECT_NEAR(sim::to_seconds(run.iterations[0][0].comm_start), 0.0, 1e-3);
+  EXPECT_NEAR(sim::to_seconds(run.iterations[1][0].comm_start), 0.5, 1e-3);
+}
+
+TEST(FlowsimDumbbell, SeededNoiseIsReproducibleAndSeedDependent) {
+  const auto times = [](std::uint64_t seed) {
+    return analysis::run_dumbbell(
+               {periodic(0.3, 1.5, 0.0, 0.02), periodic(0.3, 1.5, 0.1, 0.02)},
+               nullptr, seed, 30, 1e4)
+        .iteration_times(0);
+  };
+  EXPECT_EQ(times(99), times(99));
+  EXPECT_NE(times(1), times(2));
+}
+
+TEST(FlowsimDumbbell, ReportsTruncation) {
+  // Each iteration takes ~1 s; a 2 s budget cannot fit 100 iterations.
+  const auto cut =
+      analysis::run_dumbbell({periodic(0.5, 0.5)}, nullptr, 1, 100, 2.0);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_LT(cut.iterations[0].size(), 100u)
+      << "a truncated run must not have reached its target";
+
+  const auto complete =
+      analysis::run_dumbbell({periodic(0.5, 0.5)}, nullptr, 1, 3, 100.0);
+  EXPECT_FALSE(complete.truncated);
+  EXPECT_GE(complete.iterations[0].size(), 3u);
 }
 
 }  // namespace
