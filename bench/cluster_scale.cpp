@@ -1,17 +1,22 @@
-// Cluster-scale forwarding benchmark: how many simulator events per second
-// the packet path sustains as the workload grows from the paper's dumbbell
-// to a leaf-spine fabric with hundreds of jobs and thousands of flows.
+// Cluster-scale forwarding benchmark: how fast the packet path simulates as
+// the workload grows from the paper's dumbbell to a leaf-spine fabric with
+// hundreds of jobs and thousands of flows.
 //
 // Two parts:
 //  - dumbbell scenarios: the fig4/fig6-shaped workloads whose per-packet
-//    cost the forwarding path dominates. These are the perf-gated numbers
-//    (events/sec must not regress; see bench/record_scale_baseline.sh).
+//    cost the forwarding path dominates.
 //  - leaf-spine sweep: jobs x flows-per-job scaling (8 -> 256 jobs, up to
-//    ~4k flows) across a racks x spines fabric, recording events/sec, wall
-//    time and peak RSS — the memory-stability evidence for cluster scale.
+//    ~4k flows) across a racks x spines fabric, recording wall time and
+//    peak RSS — the memory-stability evidence for cluster scale.
 //
-// Output: one `RESULT key=value ...` line per run (parsed by
-// record_scale_baseline.sh) plus a CSV in results_dir().
+// Every run is scored per unit of useful work, not per event (a change that
+// adds events would otherwise look faster): simulated seconds per wall
+// second, wall time and events per completed transfer (job messages plus
+// background transfers), and PDES null messages per event. A run that
+// completes no transfer reports 0 in the per-transfer fields.
+//
+// Output: one `RESULT key=value ...` line per run (recorded and gated by
+// bench/record_baseline.py) plus a CSV in results_dir().
 //
 // Modes:
 //   cluster_scale                  full sweep (8..256 jobs)
@@ -25,14 +30,13 @@
 //   cluster_scale --background=P   overlay a Reno background traffic matrix
 //                                  (poisson | incast | tornado | alltoall |
 //                                  permutation) on every run, so the gated
-//                                  events/sec also covers the mixed-traffic
+//                                  throughput also covers the mixed-traffic
 //                                  forwarding path. The pattern is recorded
 //                                  in the RESULT lines / CSV / JSON, keeping
 //                                  background and clean numbers separate.
 //   cluster_scale --shards=N       run the leaf-spine sweep on the sharded
 //                                  PDES engine (N shards, one worker thread
-//                                  each; MLTCP_SHARDS is the env twin, the
-//                                  flag wins). Model state is byte-identical
+//                                  each). Model state is byte-identical
 //                                  at every shard count — the `digest` field
 //                                  and the cluster_scale_sim.csv rows must
 //                                  not change with N, only wall time does.
@@ -60,6 +64,7 @@
 #include "pdes/sharded_runner.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/cong_control.hpp"
+#include "tcp/flow.hpp"
 #include "traffic/source.hpp"
 #include "workload/cluster.hpp"
 #include "workload/profiles.hpp"
@@ -76,25 +81,42 @@ struct RunResult {
   int workers = 1;
   double sim_s = 0.0;
   std::uint64_t events = 0;
+  std::int64_t transfers = 0;  ///< Completed job messages + background.
   double wall_s = 0.0;
-  double events_per_sec = 0.0;
   double rss_mb = 0.0;        ///< Campaign-level peak (high-water mark).
   double rss_delta_mb = 0.0;  ///< Peak growth during this run (serial only).
   std::uint64_t null_msgs = 0;
   std::uint64_t stalls = 0;
   std::uint64_t digest = 0;  ///< FNV-1a over final model state.
   std::string background = "none";
+
+  double sim_s_per_wall_s() const {
+    return wall_s > 0.0 ? sim_s / wall_s : 0.0;
+  }
+  double per_transfer(double x) const {
+    return transfers > 0 ? x / static_cast<double>(transfers) : 0.0;
+  }
+  double null_msgs_per_event() const {
+    return events > 0 ? static_cast<double>(null_msgs) /
+                            static_cast<double>(events)
+                      : 0.0;
+  }
 };
 
 void print_result(const RunResult& r) {
   std::printf("RESULT name=%s jobs=%d flows=%d shards=%d workers=%d "
-              "sim_s=%.3f events=%" PRIu64 " wall_s=%.4f "
-              "events_per_sec=%.1f peak_rss_mb=%.1f rss_delta_mb=%.1f "
+              "sim_s=%.3f events=%" PRIu64 " transfers=%" PRId64
+              " wall_s=%.4f sim_s_per_wall_s=%.4f wall_us_per_transfer=%.2f "
+              "events_per_transfer=%.1f null_msgs_per_event=%.4f "
+              "peak_rss_mb=%.1f rss_delta_mb=%.1f "
               "null_msgs=%" PRIu64 " stalls=%" PRIu64 " digest=%016" PRIx64
               " background=%s\n",
               r.name.c_str(), r.jobs, r.flows, r.shards, r.workers, r.sim_s,
-              r.events, r.wall_s, r.events_per_sec, r.rss_mb, r.rss_delta_mb,
-              r.null_msgs, r.stalls, r.digest, r.background.c_str());
+              r.events, r.transfers, r.wall_s, r.sim_s_per_wall_s(),
+              r.per_transfer(r.wall_s * 1e6),
+              r.per_transfer(static_cast<double>(r.events)),
+              r.null_msgs_per_event(), r.rss_mb, r.rss_delta_mb, r.null_msgs,
+              r.stalls, r.digest, r.background.c_str());
   std::fflush(stdout);
 }
 
@@ -147,6 +169,22 @@ std::uint64_t state_digest(const workload::Cluster& cluster,
   return f.h;
 }
 
+/// Completed transfers, the work unit the per-transfer fields divide by:
+/// every message a job's flow finished plus every finished background
+/// transfer.
+std::int64_t completed_transfers(const workload::Cluster& cluster,
+                                 const traffic::TrafficSource* background) {
+  std::int64_t n = background != nullptr
+                       ? static_cast<std::int64_t>(background->completed())
+                       : 0;
+  for (std::size_t j = 0; j < cluster.job_count(); ++j) {
+    for (const tcp::TcpFlow* flow : cluster.flows_of(j)) {
+      n += flow->sender().stats().messages_completed;
+    }
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------- background
 
 /// "none", or a traffic::Pattern display name. Parsed once in main; invalid
@@ -180,7 +218,7 @@ BackgroundSpec parse_background(const std::string& name) {
 
 /// Overlays the pattern on `hosts` for the whole measurement window. Plain
 /// Reno with Pareto sizes — the legacy datacenter mix the training jobs
-/// contend with; intensity is fixed so events/sec across sweeps stays
+/// contend with; intensity is fixed so throughput across sweeps stays
 /// comparable. Under sharded execution pass `lane_of`/`lanes` (the
 /// partition's shard mapper) so arrivals replay on per-shard lanes — the
 /// arrival schedule, flow ids and FCT records stay identical to serial.
@@ -230,8 +268,6 @@ RunResult measure(const std::string& name, int jobs, int flows,
   probe.end();
   r.events = sim.events_executed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events_per_sec =
-      r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
   r.rss_mb = bench::peak_rss_mb();
   r.rss_delta_mb = probe.delta_mb();
   if (runner != nullptr) {
@@ -247,8 +283,7 @@ RunResult measure(const std::string& name, int jobs, int flows,
 // ------------------------------------------------------------- dumbbell part
 
 /// The fig4 shape: `n_jobs` MLTCP-Reno jobs with 4 flows each on the shared
-/// dumbbell bottleneck. This is the workload whose events/sec the perf gate
-/// tracks.
+/// dumbbell bottleneck, the per-packet path at its most cache-friendly.
 RunResult run_dumbbell(int n_jobs, sim::SimTime window,
                        const BackgroundSpec& background) {
   bench::ScenarioConfig cfg;
@@ -273,6 +308,7 @@ RunResult run_dumbbell(int n_jobs, sim::SimTime window,
   RunResult r = measure("dumbbell", n_jobs, n_jobs * 4, exp->sim, window);
   r.background = background.label;
   r.digest = state_digest(*exp->cluster, *exp->dumbbell.topology, source.get());
+  r.transfers = completed_transfers(*exp->cluster, source.get());
   return r;
 }
 
@@ -354,6 +390,7 @@ RunResult run_leaf_spine(int n_jobs, int flows_per_job, sim::SimTime window,
                         window, runner.get());
   r.background = background.label;
   r.digest = state_digest(cluster, *ls.topology, source.get());
+  r.transfers = completed_transfers(cluster, source.get());
   return r;
 }
 
@@ -362,7 +399,7 @@ RunResult run_leaf_spine(int n_jobs, int flows_per_job, sim::SimTime window,
 int main(int argc, char** argv) {
   bool quick = false;
   int repeat = 1;
-  int shards = pdes::shards_from_env();
+  int shards = 1;
   int extra_jobs = 0;
   std::string only;
   std::string background_name;
@@ -446,15 +483,20 @@ int main(int argc, char** argv) {
   auto csv = bench::open_csv(
       "cluster_scale",
       {"name", "jobs", "flows", "shards", "workers", "sim_s", "events",
-       "wall_s", "events_per_sec", "peak_rss_mb", "rss_delta_mb", "null_msgs",
-       "stalls", "digest", "background"});
+       "transfers", "wall_s", "sim_s_per_wall_s", "wall_us_per_transfer",
+       "events_per_transfer", "null_msgs_per_event", "peak_rss_mb",
+       "rss_delta_mb", "null_msgs", "stalls", "digest", "background"});
   char digest_hex[17];
   for (const RunResult& r : results) {
     std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, r.digest);
     csv->row({r.name, std::to_string(r.jobs), std::to_string(r.flows),
               std::to_string(r.shards), std::to_string(r.workers),
               std::to_string(r.sim_s), std::to_string(r.events),
-              std::to_string(r.wall_s), std::to_string(r.events_per_sec),
+              std::to_string(r.transfers), std::to_string(r.wall_s),
+              std::to_string(r.sim_s_per_wall_s()),
+              std::to_string(r.per_transfer(r.wall_s * 1e6)),
+              std::to_string(r.per_transfer(static_cast<double>(r.events))),
+              std::to_string(r.null_msgs_per_event()),
               std::to_string(r.rss_mb), std::to_string(r.rss_delta_mb),
               std::to_string(r.null_msgs), std::to_string(r.stalls),
               digest_hex, r.background});

@@ -2,7 +2,9 @@
 // packet-level simulations across 1 / 2 / 4 threads, verifies that the
 // aggregated CSV output is byte-identical at every thread count (results are
 // keyed by spec index, never by completion order), and reports the
-// wall-clock speedup over the serial run.
+// wall-clock speedup over the serial run, one
+// `RESULT name=runner_scaling threads=N wall_s=... speedup=...` line per
+// thread count (recorded by bench/record_baseline.py).
 //
 //   ./build/bench/runner_scaling            # 32 runs, threads {1,2,4}
 //   MLTCP_RUNS=64 ./build/bench/runner_scaling
@@ -116,17 +118,16 @@ int main() {
               runs, std::thread::hardware_concurrency());
 
   const CampaignOutcome serial = run_campaign_at(specs, 1);
-  std::printf("threads=1: %.2fs (serial reference)\n", serial.wall_seconds);
-
   bool identical = true;
-  for (const int threads : {2, 4}) {
-    const CampaignOutcome par = run_campaign_at(specs, threads);
-    const bool same = par.csv == serial.csv;
-    identical = identical && same;
-    std::printf("threads=%d: %.2fs, speedup %.2fx, output %s\n", threads,
-                par.wall_seconds, serial.wall_seconds / par.wall_seconds,
-                same ? "byte-identical to serial"
-                     : "DIFFERS FROM SERIAL (bug!)");
+  for (const int threads : {1, 2, 4}) {
+    const CampaignOutcome run =
+        threads == 1 ? serial : run_campaign_at(specs, threads);
+    identical = identical && run.csv == serial.csv;
+    std::printf("RESULT name=runner_scaling threads=%d wall_s=%.3f "
+                "speedup=%.2f\n",
+                threads, run.wall_seconds,
+                serial.wall_seconds / run.wall_seconds);
+    std::fflush(stdout);
   }
 
   // Persist the serial CSV (all thread counts produced the same bytes).
@@ -140,5 +141,6 @@ int main() {
     std::printf("FAIL: parallel output diverged from serial\n");
     return 1;
   }
+  std::printf("output byte-identical to serial at every thread count\n");
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <numeric>
 
 namespace mltcp::pdes {
@@ -167,14 +166,6 @@ void start_all_sharded(workload::Cluster& cluster,
     sim::Simulator::ShardGuard guard(simulator, shard);
     cluster.job(i)->start();
   }
-}
-
-int shards_from_env() {
-  if (const char* env = std::getenv("MLTCP_SHARDS")) {
-    const int n = std::atoi(env);
-    if (n > 1) return n;
-  }
-  return 1;
 }
 
 }  // namespace mltcp::pdes

@@ -79,7 +79,4 @@ void start_all_sharded(workload::Cluster& cluster,
                        const std::vector<workload::JobSpec>& specs,
                        sim::Simulator& simulator, const Partition& partition);
 
-/// Reads MLTCP_SHARDS (unset, 0 or 1 = serial single-shard execution).
-int shards_from_env();
-
 }  // namespace mltcp::pdes

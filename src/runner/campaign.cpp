@@ -1,8 +1,6 @@
 #include "runner/campaign.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 namespace mltcp::runner {
 
@@ -11,16 +9,6 @@ CampaignOptions options_from_env() {
   if (const char* env = std::getenv("MLTCP_THREADS")) {
     opts.threads = std::atoi(env);
     if (opts.threads < 0) opts.threads = 0;
-    return opts;
-  }
-  if (const char* env = std::getenv("MLTCP_SHARDS")) {
-    const int shards = std::atoi(env);
-    if (shards > 1) {
-      // Each run wants `shards` worker threads of its own: divide the
-      // machine between campaign width and within-run width.
-      const unsigned hw = std::thread::hardware_concurrency();
-      opts.threads = std::max(1, static_cast<int>(hw) / shards);
-    }
   }
   return opts;
 }

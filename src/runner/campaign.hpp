@@ -24,12 +24,6 @@ struct CampaignOptions {
 /// Reads the MLTCP_THREADS environment variable (0 or unset = hardware
 /// concurrency) so any campaign binary can be forced serial or to a fixed
 /// parallelism without a rebuild.
-///
-/// Thread budgeting with sharded runs: when MLTCP_SHARDS asks each run for
-/// N > 1 worker threads and MLTCP_THREADS is unset, the campaign's width
-/// defaults to max(1, hardware / N) instead of the full hardware
-/// concurrency, so campaign parallelism x within-run parallelism stays at
-/// (not above) the machine. An explicit MLTCP_THREADS always wins.
 CampaignOptions options_from_env();
 
 /// printf-style text accumulator. Campaign bodies run concurrently, so they

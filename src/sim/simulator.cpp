@@ -5,9 +5,10 @@
 namespace mltcp::sim {
 
 namespace detail {
-// Zero-initialized: threads that never bound a shard resolve to the root
-// context of whichever Simulator they call into.
-thread_local ShardBinding tls_shard_binding;
+// Null until a ShardGuard binds: threads that never bound a shard resolve
+// to the root context of whichever Simulator they call into.
+constinit thread_local const Simulator* tls_bound_sim = nullptr;
+constinit thread_local void* tls_bound_ctx = nullptr;
 }  // namespace detail
 
 void Simulator::run() {

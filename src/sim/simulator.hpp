@@ -18,15 +18,13 @@ class Simulator;
 
 namespace detail {
 /// Thread-local shard binding: which Simulator (if any) the current thread
-/// is executing a shard of, and which shard context that is. Zero-initialized
-/// POD so the hot-path read needs no initialization guard; a thread that
-/// never entered a shard reads {nullptr, nullptr} and every Simulator call
-/// falls through to its root (serial) context.
-struct ShardBinding {
-  const Simulator* sim;
-  void* ctx;
-};
-extern thread_local ShardBinding tls_shard_binding;
+/// is executing a shard of, and which shard context that is. Two scalar
+/// constant-initialized pointers, so the hot-path read needs no
+/// initialization guard and touches only the first one on the serial path;
+/// a thread that never entered a shard reads nullptr and every Simulator
+/// call falls through to its root (serial) context.
+extern constinit thread_local const Simulator* tls_bound_sim;
+extern constinit thread_local void* tls_bound_ctx;
 }  // namespace detail
 
 /// Owns the simulation clock and event queue. All model components hold a
@@ -132,16 +130,20 @@ class Simulator {
   class ShardGuard {
    public:
     ShardGuard(Simulator& simulator, int shard)
-        : prev_(detail::tls_shard_binding) {
-      detail::tls_shard_binding = {&simulator,
-                                   &simulator.shard_context(shard)};
+        : prev_sim_(detail::tls_bound_sim), prev_ctx_(detail::tls_bound_ctx) {
+      detail::tls_bound_sim = &simulator;
+      detail::tls_bound_ctx = &simulator.shard_context(shard);
     }
-    ~ShardGuard() { detail::tls_shard_binding = prev_; }
+    ~ShardGuard() {
+      detail::tls_bound_sim = prev_sim_;
+      detail::tls_bound_ctx = prev_ctx_;
+    }
     ShardGuard(const ShardGuard&) = delete;
     ShardGuard& operator=(const ShardGuard&) = delete;
 
    private:
-    detail::ShardBinding prev_;
+    const Simulator* prev_sim_;
+    void* prev_ctx_;
   };
 
   /// Telemetry hook: components reach the tracer of their simulation through
@@ -168,13 +170,15 @@ class Simulator {
   /// inside this simulator's sharded run, the root context otherwise. One
   /// thread-local load plus a pointer compare on the serial hot path.
   ShardContext& ctx() {
-    const detail::ShardBinding& b = detail::tls_shard_binding;
-    if (b.sim == this) return *static_cast<ShardContext*>(b.ctx);
+    if (detail::tls_bound_sim == this) {
+      return *static_cast<ShardContext*>(detail::tls_bound_ctx);
+    }
     return root_;
   }
   const ShardContext& ctx() const {
-    const detail::ShardBinding& b = detail::tls_shard_binding;
-    if (b.sim == this) return *static_cast<const ShardContext*>(b.ctx);
+    if (detail::tls_bound_sim == this) {
+      return *static_cast<const ShardContext*>(detail::tls_bound_ctx);
+    }
     return root_;
   }
 

@@ -3,7 +3,9 @@
 // all. Counts every global operator new by replacing it, so any hidden
 // allocation on the hot path — a std::function fallback, a node-based
 // container, a vector regrowth — fails the test instead of shipping as a
-// per-event cost.
+// per-event cost. Under AddressSanitizer, which owns operator new and
+// reports a malloc/delete mismatch against a replacement, the count comes
+// from ASan's allocator hooks instead (every heap allocation, malloc too).
 
 #include <gtest/gtest.h>
 
@@ -19,9 +21,36 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MLTCP_ASAN_ALLOC_HOOKS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MLTCP_ASAN_ALLOC_HOOKS 1
+#endif
+#endif
+
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
 
+#ifdef MLTCP_ASAN_ALLOC_HOOKS
+// Declared here because not every toolchain ships
+// <sanitizer/allocator_interface.h>.
+extern "C" int __sanitizer_install_malloc_and_free_hooks(
+    void (*malloc_hook)(const volatile void*, std::size_t),
+    void (*free_hook)(const volatile void*));
+
+namespace {
+void count_malloc(const volatile void*, std::size_t) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+}
+// Must be non-null: with a null free hook the install call fails.
+void ignore_free(const volatile void*) {}
+[[maybe_unused]] const bool g_hooks_installed =
+    __sanitizer_install_malloc_and_free_hooks(count_malloc, ignore_free) != 0;
+}  // namespace
+#else
+namespace {
 void* counted_alloc(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n > 0 ? n : 1);
@@ -45,6 +74,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace mltcp {
 namespace {

@@ -6,7 +6,9 @@
 // across thread counts, a small-topology run must land within a stated
 // tolerance of the packet backend, and periodic jobs on a dumbbell must
 // follow the §4 fluid dynamics (Eq. 3 shift, interleaving, fair-share
-// overlap) that the convergence and noise-bound benches build on.
+// overlap) that the convergence and noise-bound benches build on, and the
+// incremental solver must keep its per-transfer work on the 256-host
+// leaf-spine under a ceiling that a full recompute exceeds.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +41,8 @@
 #include "sim/indexed_heap.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/reno.hpp"
+#include "telemetry/collect.hpp"
+#include "telemetry/metrics.hpp"
 #include "traffic/jobs.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/source.hpp"
@@ -951,6 +955,122 @@ TEST(FlowsimDumbbell, ReportsTruncation) {
       analysis::run_dumbbell({periodic(0.5, 0.5)}, nullptr, 1, 3, 100.0);
   EXPECT_FALSE(complete.truncated);
   EXPECT_GE(complete.iterations[0].size(), 3u);
+}
+
+// ------------------------------------------------------ solver work at scale
+
+// The cluster_scale 16x16x4 leaf-spine under the two loads that drive the
+// incremental solver's two paths: Poisson arrivals and completions, and
+// MLTCP weight refreshes under training collectives. Channel-rate freezes
+// per completed transfer are a pure function of the model, so the ceiling
+// is machine-independent: 1.5x the dirty-set solver's measured cost (1.418
+// and 8.900 fills/transfer), which a full recompute (16.1 and 235) breaks.
+// Wall time on the same worlds is bench/perf's job (flowsim-poisson-1m,
+// flowsim-training).
+
+struct SolverWork {
+  std::int64_t posted = 0;
+  std::int64_t completed = 0;
+  std::int64_t full_recomputes = 0;
+  double fills_per_transfer = 0.0;
+};
+
+/// Reads the counters through the telemetry registry, the same path a
+/// report scrapes, rather than the stats struct.
+SolverWork solver_work(const flowsim::FlowSimulator& fs) {
+  telemetry::MetricRegistry reg;
+  telemetry::collect_flowsim(reg, "flowsim", fs.stats());
+  SolverWork w;
+  w.posted = reg.counter("flowsim/messages_posted").value();
+  w.completed = reg.counter("flowsim/messages_completed").value();
+  w.full_recomputes = reg.counter("flowsim/full_recomputes").value();
+  if (w.completed > 0) {
+    w.fills_per_transfer =
+        static_cast<double>(reg.counter("flowsim/waterfill_channels").value()) /
+        static_cast<double>(w.completed);
+  }
+  return w;
+}
+
+/// 16 racks x 16 hosts x 4 spines on the flow-level backend.
+struct ScaleRig {
+  sim::Simulator sim;
+  net::LeafSpine ls;
+  std::unique_ptr<flowsim::FlowSimulator> fs;
+  workload::Cluster cluster{sim};
+
+  ScaleRig() {
+    net::LeafSpineConfig cfg;
+    cfg.racks = 16;
+    cfg.hosts_per_rack = 16;
+    cfg.spines = 4;
+    cfg.host_rate_bps = 4e9;
+    cfg.fabric_rate_bps = 1e9;
+    ls = net::make_leaf_spine(sim, cfg);
+    fs = std::make_unique<flowsim::FlowSimulator>(sim, *ls.topology);
+    cluster.set_backend(fs.get());
+  }
+};
+
+TEST(FlowsimScale, PoissonSliceStaysUnderSolverWorkCeiling) {
+  // The first 6 s of bench/perf's flowsim-poisson-1m arrivals plus a 5 s
+  // drain: 16,000 flows/s, 40 KB bounded-Pareto sizes.
+  ScaleRig rig;
+  std::vector<net::Host*> hosts;
+  for (const auto& rack : rig.ls.racks) {
+    hosts.insert(hosts.end(), rack.begin(), rack.end());
+  }
+  traffic::TrafficSource source(rig.sim, rig.cluster, hosts,
+                                traffic::SourceOptions{reno(), {}, {}});
+  traffic::TrafficConfig tc;
+  tc.pattern = traffic::Pattern::kPoisson;
+  tc.size_dist = traffic::SizeDist::kPareto;
+  tc.mean_bytes = 40'000;
+  tc.flows_per_second = 16'000.0;
+  tc.start = 0;
+  tc.stop = sim::seconds(6);
+  tc.seed = 31;
+  source.install(tc);
+  rig.sim.run_until(tc.stop + sim::seconds(5));
+
+  const SolverWork w = solver_work(*rig.fs);
+  EXPECT_EQ(w.posted, 96'050);
+  EXPECT_EQ(w.completed, w.posted) << "every posted transfer must complete";
+  EXPECT_EQ(w.full_recomputes, 0);
+  EXPECT_LE(w.fills_per_transfer, 1.5 * 1.418);
+}
+
+TEST(FlowsimScale, TrainingStaysUnderSolverWorkCeiling) {
+  // 256 MLTCP jobs x 4 flows x 500 KB, 50 ms compute, 10 iterations, placed
+  // rack r -> rack r+1 round-robin with starts staggered over 64 slots.
+  ScaleRig rig;
+  const int racks = static_cast<int>(rig.ls.racks.size());
+  const int hosts_per_rack = static_cast<int>(rig.ls.racks[0].size());
+  for (int j = 0; j < 256; ++j) {
+    const int src_rack = j % racks;
+    const int dst_rack = (src_rack + 1) % racks;
+    const int base_host = (j / racks) % hosts_per_rack;
+    workload::JobSpec spec;
+    spec.name = "job" + std::to_string(j);
+    for (int f = 0; f < 4; ++f) {
+      const int h = (base_host + f) % hosts_per_rack;
+      spec.flows.push_back(workload::FlowSpec{
+          rig.ls.racks[src_rack][h], rig.ls.racks[dst_rack][h], 500'000});
+    }
+    spec.compute_time = sim::milliseconds(50);
+    spec.max_iterations = 10;
+    spec.start_time = sim::milliseconds(5 * (j % 64));
+    spec.cc = core::mltcp_reno_factory();
+    rig.cluster.add_job(spec);
+  }
+  rig.cluster.start_all();
+  rig.sim.run_until(sim::seconds(40));
+
+  const SolverWork w = solver_work(*rig.fs);
+  EXPECT_EQ(w.posted, 10'240);
+  EXPECT_EQ(w.completed, w.posted) << "every posted message must complete";
+  EXPECT_EQ(w.full_recomputes, 0);
+  EXPECT_LE(w.fills_per_transfer, 1.5 * 8.900);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -129,18 +128,6 @@ TEST(PdesPartition, CoLocateMergesGroupsAcrossRacks) {
   for (int r = 1; r < 4; ++r) {
     EXPECT_EQ(part.shard_of(ls.racks[0][0]), part.shard_of(ls.racks[r][0]));
   }
-}
-
-TEST(PdesPartition, ShardsFromEnvParsesAndDefaults) {
-  ::unsetenv("MLTCP_SHARDS");
-  EXPECT_EQ(pdes::shards_from_env(), 1);
-  ::setenv("MLTCP_SHARDS", "4", 1);
-  EXPECT_EQ(pdes::shards_from_env(), 4);
-  ::setenv("MLTCP_SHARDS", "1", 1);
-  EXPECT_EQ(pdes::shards_from_env(), 1);
-  ::setenv("MLTCP_SHARDS", "0", 1);
-  EXPECT_EQ(pdes::shards_from_env(), 1);
-  ::unsetenv("MLTCP_SHARDS");
 }
 
 // ---------------------------------------------------------------- channel
