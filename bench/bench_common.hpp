@@ -89,21 +89,6 @@ sim::RateBinner* bottleneck_binner_for_job(Experiment& exp,
 /// not a per-run cost.
 double peak_rss_mb();
 
-/// Per-run RSS attribution: sample the high-water mark around one run and
-/// report how much that run grew it. A delta of 0 means the run fit inside
-/// memory an earlier run already touched ("<= previous peak", not "no
-/// allocations"), and under concurrent execution (MLTCP_THREADS > 1) a
-/// neighbour's growth can land in this run's window — deltas are only
-/// attributable in serial campaigns.
-struct RssProbe {
-  double before_mb = 0.0;
-  double after_mb = 0.0;
-
-  static RssProbe begin() { return RssProbe{peak_rss_mb(), 0.0}; }
-  void end() { after_mb = peak_rss_mb(); }
-  double delta_mb() const { return after_mb - before_mb; }
-};
-
 /// ---- report helpers (stdout, markdown-ish tables) ----
 
 void print_header(const std::string& title);

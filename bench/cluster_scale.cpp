@@ -11,29 +11,20 @@
 //
 // Every run is scored per unit of useful work, not per event (a change that
 // adds events would otherwise look faster): simulated seconds per wall
-// second, wall time and events per completed transfer (job messages plus
-// background transfers), and PDES null messages per event. A run that
-// completes no transfer reports 0 in the per-transfer fields.
+// second, wall time and events per completed job message, and PDES null
+// messages per event. A run that completes no transfer reports 0 in the
+// per-transfer fields. Wall time is one run's; bench/perf is the wall-time
+// harness that repeats and compares.
 //
-// Output: one `RESULT key=value ...` line per run (recorded and gated by
+// Output: one `RESULT key=value ...` line per run (recorded by
 // bench/record_baseline.py) plus a CSV in results_dir().
 //
 // Modes:
 //   cluster_scale                  full sweep (8..256 jobs)
-//   cluster_scale --quick          CI smoke point (8 jobs, short windows)
+//   cluster_scale --quick          CI smoke point (8 jobs, short windows);
+//                                  exits 1 over a work ceiling (below)
 //   cluster_scale --only=NAME      run only scenarios named NAME
 //                                  (dumbbell | leafspine)
-//   cluster_scale --repeat=N       run each scenario N times, report the
-//                                  fastest (simulated work is identical per
-//                                  repeat; min wall time is the standard
-//                                  noise-robust estimator on shared hosts)
-//   cluster_scale --background=P   overlay a Reno background traffic matrix
-//                                  (poisson | incast | tornado | alltoall |
-//                                  permutation) on every run, so the gated
-//                                  throughput also covers the mixed-traffic
-//                                  forwarding path. The pattern is recorded
-//                                  in the RESULT lines / CSV / JSON, keeping
-//                                  background and clean numbers separate.
 //   cluster_scale --shards=N       run the leaf-spine sweep on the sharded
 //                                  PDES engine (N shards, one worker thread
 //                                  each). Model state is byte-identical
@@ -45,14 +36,12 @@
 //   cluster_scale --jobs=N         add one leaf-spine point with N jobs (a
 //                                  short window), e.g. the 2048-job sharded
 //                                  scale record.
+// Any other argument, or a value that is not one of these, exits 2.
 
-#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,15 +52,21 @@
 #include "pdes/partition.hpp"
 #include "pdes/sharded_runner.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/cong_control.hpp"
 #include "tcp/flow.hpp"
-#include "traffic/source.hpp"
 #include "workload/cluster.hpp"
 #include "workload/profiles.hpp"
 
 namespace {
 
 using namespace mltcp;
+
+/// Events per completed transfer that each --quick point may not exceed:
+/// 1.5x what dumbbell-2, dumbbell-8 and leaf-spine-8 measured when the
+/// ceilings were set. Event counts are a pure function of the model at any
+/// --shards, so the tier-1 ctest `cluster_scale --quick` holds on any host.
+constexpr double kQuickDumbbell2Ceiling = 1.5 * 70'739.2;
+constexpr double kQuickDumbbell8Ceiling = 1.5 * 111'901.1;
+constexpr double kQuickLeafSpine8Ceiling = 1.5 * 26'620.0;
 
 struct RunResult {
   std::string name;
@@ -81,14 +76,12 @@ struct RunResult {
   int workers = 1;
   double sim_s = 0.0;
   std::uint64_t events = 0;
-  std::int64_t transfers = 0;  ///< Completed job messages + background.
+  std::int64_t transfers = 0;  ///< Completed job messages.
   double wall_s = 0.0;
-  double rss_mb = 0.0;        ///< Campaign-level peak (high-water mark).
-  double rss_delta_mb = 0.0;  ///< Peak growth during this run (serial only).
+  double rss_mb = 0.0;  ///< Process peak; points run in increasing size.
   std::uint64_t null_msgs = 0;
   std::uint64_t stalls = 0;
   std::uint64_t digest = 0;  ///< FNV-1a over final model state.
-  std::string background = "none";
 
   double sim_s_per_wall_s() const {
     return wall_s > 0.0 ? sim_s / wall_s : 0.0;
@@ -108,25 +101,23 @@ void print_result(const RunResult& r) {
               "sim_s=%.3f events=%" PRIu64 " transfers=%" PRId64
               " wall_s=%.4f sim_s_per_wall_s=%.4f wall_us_per_transfer=%.2f "
               "events_per_transfer=%.1f null_msgs_per_event=%.4f "
-              "peak_rss_mb=%.1f rss_delta_mb=%.1f "
-              "null_msgs=%" PRIu64 " stalls=%" PRIu64 " digest=%016" PRIx64
-              " background=%s\n",
+              "peak_rss_mb=%.1f null_msgs=%" PRIu64 " stalls=%" PRIu64
+              " digest=%016" PRIx64 "\n",
               r.name.c_str(), r.jobs, r.flows, r.shards, r.workers, r.sim_s,
               r.events, r.transfers, r.wall_s, r.sim_s_per_wall_s(),
               r.per_transfer(r.wall_s * 1e6),
               r.per_transfer(static_cast<double>(r.events)),
-              r.null_msgs_per_event(), r.rss_mb, r.rss_delta_mb, r.null_msgs,
-              r.stalls, r.digest, r.background.c_str());
+              r.null_msgs_per_event(), r.rss_mb, r.null_msgs, r.stalls,
+              r.digest);
   std::fflush(stdout);
 }
 
 // ------------------------------------------------------------ state digest
 
 /// FNV-1a over the run's observable model state: every job's iteration
-/// records, every link / host / switch counter, and the background source's
-/// transfer totals. Identical across execution modes by the PDES identity
-/// guarantee — the byte-diffable proof that sharding changed nothing but
-/// wall time.
+/// records and every link / host / switch counter. Identical across
+/// execution modes by the PDES identity guarantee — the byte-diffable proof
+/// that sharding changed nothing but wall time.
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
   void add(std::uint64_t v) {
@@ -138,8 +129,7 @@ struct Fnv {
 };
 
 std::uint64_t state_digest(const workload::Cluster& cluster,
-                           const net::Topology& topo,
-                           const traffic::TrafficSource* background) {
+                           const net::Topology& topo) {
   Fnv f;
   for (std::size_t j = 0; j < cluster.job_count(); ++j) {
     const workload::Job* job = cluster.job(j);
@@ -161,22 +151,13 @@ std::uint64_t state_digest(const workload::Cluster& cluster,
   for (const net::Switch* s : topo.switches()) {
     f.add(static_cast<std::uint64_t>(s->forwarded_packets()));
   }
-  if (background != nullptr) {
-    f.add(background->posted());
-    f.add(background->completed());
-    f.add(static_cast<std::uint64_t>(background->bytes_completed()));
-  }
   return f.h;
 }
 
 /// Completed transfers, the work unit the per-transfer fields divide by:
-/// every message a job's flow finished plus every finished background
-/// transfer.
-std::int64_t completed_transfers(const workload::Cluster& cluster,
-                                 const traffic::TrafficSource* background) {
-  std::int64_t n = background != nullptr
-                       ? static_cast<std::int64_t>(background->completed())
-                       : 0;
+/// every message a job's flow finished.
+std::int64_t completed_transfers(const workload::Cluster& cluster) {
+  std::int64_t n = 0;
   for (std::size_t j = 0; j < cluster.job_count(); ++j) {
     for (const tcp::TcpFlow* flow : cluster.flows_of(j)) {
       n += flow->sender().stats().messages_completed;
@@ -185,70 +166,8 @@ std::int64_t completed_transfers(const workload::Cluster& cluster,
   return n;
 }
 
-// ---------------------------------------------------------------- background
-
-/// "none", or a traffic::Pattern display name. Parsed once in main; invalid
-/// names abort instead of silently measuring the clean path under a label
-/// that claims otherwise.
-struct BackgroundSpec {
-  bool enabled = false;
-  traffic::Pattern pattern = traffic::Pattern::kPoisson;
-  std::string label = "none";
-};
-
-BackgroundSpec parse_background(const std::string& name) {
-  BackgroundSpec spec;
-  if (name.empty() || name == "none") return spec;
-  for (const traffic::Pattern p : traffic::all_patterns()) {
-    if (name == traffic::pattern_name(p)) {
-      spec.enabled = true;
-      spec.pattern = p;
-      spec.label = name;
-      return spec;
-    }
-  }
-  std::fprintf(stderr, "unknown --background pattern '%s' (valid: none",
-               name.c_str());
-  for (const traffic::Pattern p : traffic::all_patterns()) {
-    std::fprintf(stderr, " | %s", traffic::pattern_name(p));
-  }
-  std::fprintf(stderr, ")\n");
-  std::exit(2);
-}
-
-/// Overlays the pattern on `hosts` for the whole measurement window. Plain
-/// Reno with Pareto sizes — the legacy datacenter mix the training jobs
-/// contend with; intensity is fixed so throughput across sweeps stays
-/// comparable. Under sharded execution pass `lane_of`/`lanes` (the
-/// partition's shard mapper) so arrivals replay on per-shard lanes — the
-/// arrival schedule, flow ids and FCT records stay identical to serial.
-std::unique_ptr<traffic::TrafficSource> install_background(
-    sim::Simulator& sim, workload::Cluster& cluster,
-    std::vector<net::Host*> hosts, const BackgroundSpec& spec,
-    sim::SimTime window,
-    const std::function<int(const net::Host*)>& lane_of = {}, int lanes = 1) {
-  if (!spec.enabled) return nullptr;
-  auto source = std::make_unique<traffic::TrafficSource>(
-      sim, cluster, std::move(hosts),
-      traffic::SourceOptions{[] { return std::make_unique<tcp::RenoCC>(); },
-                             {},
-                             {}});
-  traffic::TrafficConfig cfg;
-  cfg.pattern = spec.pattern;
-  cfg.size_dist = traffic::SizeDist::kPareto;
-  cfg.mean_bytes = 40'000;
-  cfg.flows_per_second = 400.0;
-  cfg.epoch = sim::milliseconds(200);
-  cfg.start = 0;
-  cfg.stop = window;
-  cfg.seed = 1;  // One fixed stream per pattern; repeats stay identical.
-  if (lane_of) source->set_lane_map(lane_of, lanes);
-  source->install(cfg);
-  return source;
-}
-
 /// Runs `sim` (serial) or `runner` (sharded, when non-null) until `deadline`
-/// and fills in the measured rates plus the per-run RSS delta.
+/// and fills in the measured rates.
 RunResult measure(const std::string& name, int jobs, int flows,
                   sim::Simulator& sim, sim::SimTime deadline,
                   pdes::ShardedRunner* runner = nullptr) {
@@ -257,7 +176,6 @@ RunResult measure(const std::string& name, int jobs, int flows,
   r.jobs = jobs;
   r.flows = flows;
   r.sim_s = sim::to_seconds(deadline);
-  auto probe = bench::RssProbe::begin();
   const auto t0 = std::chrono::steady_clock::now();
   if (runner != nullptr) {
     runner->run_until(deadline);
@@ -265,11 +183,9 @@ RunResult measure(const std::string& name, int jobs, int flows,
     sim.run_until(deadline);
   }
   const auto t1 = std::chrono::steady_clock::now();
-  probe.end();
   r.events = sim.events_executed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.rss_mb = bench::peak_rss_mb();
-  r.rss_delta_mb = probe.delta_mb();
   if (runner != nullptr) {
     r.shards = runner->shards();
     r.workers = runner->workers();
@@ -284,8 +200,7 @@ RunResult measure(const std::string& name, int jobs, int flows,
 
 /// The fig4 shape: `n_jobs` MLTCP-Reno jobs with 4 flows each on the shared
 /// dumbbell bottleneck, the per-packet path at its most cache-friendly.
-RunResult run_dumbbell(int n_jobs, sim::SimTime window,
-                       const BackgroundSpec& background) {
+RunResult run_dumbbell(int n_jobs, sim::SimTime window) {
   bench::ScenarioConfig cfg;
   cfg.hosts_per_side = n_jobs;
   auto exp = bench::make_experiment(cfg);
@@ -298,17 +213,10 @@ RunResult run_dumbbell(int n_jobs, sim::SimTime window,
     bench::add_profile_job(*exp, gpt2, j, core::mltcp_reno_factory(mcfg),
                            opts);
   }
-  std::vector<net::Host*> hosts(exp->dumbbell.left.begin(),
-                                exp->dumbbell.left.end());
-  hosts.insert(hosts.end(), exp->dumbbell.right.begin(),
-               exp->dumbbell.right.end());
-  const auto source = install_background(exp->sim, *exp->cluster,
-                                         std::move(hosts), background, window);
   exp->cluster->start_all();
   RunResult r = measure("dumbbell", n_jobs, n_jobs * 4, exp->sim, window);
-  r.background = background.label;
-  r.digest = state_digest(*exp->cluster, *exp->dumbbell.topology, source.get());
-  r.transfers = completed_transfers(*exp->cluster, source.get());
+  r.digest = state_digest(*exp->cluster, *exp->dumbbell.topology);
+  r.transfers = completed_transfers(*exp->cluster);
   return r;
 }
 
@@ -321,11 +229,11 @@ RunResult run_dumbbell(int n_jobs, sim::SimTime window,
 ///
 /// With `shards > 1` the run executes on the sharded PDES engine: the
 /// fabric is partitioned along rack boundaries (every job's sender hosts
-/// co-located so job control stays shard-local), background arrivals replay
-/// on per-shard lanes, and jobs kick off in their sender's shard. The model
-/// state — and therefore `digest` — is byte-identical to the serial run.
+/// co-located so job control stays shard-local) and jobs kick off in their
+/// sender's shard. The model state — and therefore `digest` — is
+/// byte-identical to the serial run.
 RunResult run_leaf_spine(int n_jobs, int flows_per_job, sim::SimTime window,
-                         const BackgroundSpec& background, int shards) {
+                         int shards) {
   sim::Simulator sim;
   net::LeafSpineConfig ls_cfg;
   ls_cfg.racks = 16;
@@ -363,34 +271,23 @@ RunResult run_leaf_spine(int n_jobs, int flows_per_job, sim::SimTime window,
 
   workload::Cluster cluster(sim);
   for (const workload::JobSpec& spec : specs) cluster.add_job(spec);
-  std::vector<net::Host*> hosts;
-  for (const auto& rack : ls.racks) {
-    hosts.insert(hosts.end(), rack.begin(), rack.end());
-  }
 
   std::unique_ptr<pdes::ShardedRunner> runner;
-  std::unique_ptr<traffic::TrafficSource> source;
   if (shards > 1) {
     pdes::PartitionOptions popts;
     popts.shards = shards;
     popts.co_locate = pdes::co_locate_senders(specs);
     const pdes::Partition part = pdes::partition_topology(*ls.topology, popts);
     sim.configure_shards(part.shards);
-    source = install_background(
-        sim, cluster, std::move(hosts), background, window,
-        [part](const net::Host* h) { return part.shard_of(h); }, part.shards);
     runner = std::make_unique<pdes::ShardedRunner>(sim, *ls.topology, part);
     pdes::start_all_sharded(cluster, specs, sim, part);
   } else {
-    source = install_background(sim, cluster, std::move(hosts), background,
-                                window);
     cluster.start_all();
   }
   RunResult r = measure("leafspine", n_jobs, n_jobs * flows_per_job, sim,
                         window, runner.get());
-  r.background = background.label;
-  r.digest = state_digest(cluster, *ls.topology, source.get());
-  r.transfers = completed_transfers(cluster, source.get());
+  r.digest = state_digest(cluster, *ls.topology);
+  r.transfers = completed_transfers(cluster);
   return r;
 }
 
@@ -398,41 +295,46 @@ RunResult run_leaf_spine(int n_jobs, int flows_per_job, sim::SimTime window,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int repeat = 1;
   int shards = 1;
   int extra_jobs = 0;
   std::string only;
-  std::string background_name;
+  // Every bad argument is reported, then the run stops: a typo must never
+  // run a different sweep than the one asked for.
+  bool bad = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--only=", 7) == 0) only = argv[i] + 7;
-    if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
-      repeat = std::max(1, std::atoi(argv[i] + 9));
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const char* want = nullptr;  // What a rejected value should have been.
+    if (arg == "--quick") {
+      quick = true;
+    } else if (flag == "--only") {
+      only = value;
+      if (only != "dumbbell" && only != "leafspine") want = "a scenario name";
+    } else if (flag == "--shards" || flag == "--jobs") {
+      int& out = flag == "--jobs" ? extra_jobs : shards;
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+      if (ec != std::errc() || ptr != end || out < 1) want = "an integer >= 1";
+    } else {
+      std::fprintf(stderr, "cluster_scale: unknown argument '%s'\n", argv[i]);
+      bad = true;
     }
-    if (std::strncmp(argv[i], "--background=", 13) == 0) {
-      background_name = argv[i] + 13;
-    }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::max(1, std::atoi(argv[i] + 9));
-    }
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      extra_jobs = std::max(0, std::atoi(argv[i] + 7));
+    if (want != nullptr) {
+      std::fprintf(stderr, "cluster_scale: %s wants %s, got '%s'\n",
+                   flag.c_str(), want, value.c_str());
+      bad = true;
     }
   }
-  const BackgroundSpec background = parse_background(background_name);
+  if (bad) {
+    std::fprintf(stderr,
+                 "usage: cluster_scale [--quick] [--only=dumbbell|leafspine] "
+                 "[--shards=N] [--jobs=N]\n");
+    return 2;
+  }
   const auto selected = [&only](const char* name) {
     return only.empty() || only == name;
-  };
-  // Every repeat simulates the identical event sequence; only the wall time
-  // varies (host noise), so keeping the fastest run measures the code, not
-  // the neighbours.
-  const auto best_of = [repeat](const auto& run) {
-    RunResult best = run();
-    for (int i = 1; i < repeat; ++i) {
-      RunResult r = run();
-      if (r.wall_s < best.wall_s) best = r;
-    }
-    return best;
   };
 
   bench::print_header(quick ? "cluster scale (quick)" : "cluster scale");
@@ -442,18 +344,28 @@ int main(int argc, char** argv) {
                 shards);
   }
   std::vector<RunResult> results;
+  int status = 0;
+  // Keeps a run; in --quick, first holds it to its work ceiling.
+  const auto add = [&](RunResult r, double quick_ceiling = 0.0) {
+    if (quick && quick_ceiling > 0.0) {
+      const double work = r.per_transfer(static_cast<double>(r.events));
+      const bool ok = r.transfers > 0 && work <= quick_ceiling;
+      std::printf("work %s jobs=%d: %" PRId64
+                  " transfers, %.1f events/transfer, ceiling %.1f -> %s\n",
+                  r.name.c_str(), r.jobs, r.transfers, work, quick_ceiling,
+                  ok ? "ok" : "FAILED");
+      if (!ok) status = 1;
+    }
+    results.push_back(std::move(r));
+  };
 
-  // Dumbbell: the perf-gated scenarios. Windows sized so each run executes
-  // tens of millions of events — long enough to dominate setup cost.
-  // Always serial: a dumbbell has exactly one inter-switch link, so a cut
-  // would serialize on the bottleneck anyway.
+  // Dumbbell: windows sized so each run executes millions of events — long
+  // enough to dominate setup cost. Always serial: a dumbbell has exactly
+  // one inter-switch link, so a cut would serialize on the bottleneck
+  // anyway.
   if (selected("dumbbell")) {
-    results.push_back(best_of([&] {
-      return run_dumbbell(2, sim::seconds(quick ? 4 : 20), background);
-    }));
-    results.push_back(best_of([&] {
-      return run_dumbbell(8, sim::seconds(quick ? 2 : 10), background);
-    }));
+    add(run_dumbbell(2, sim::seconds(quick ? 4 : 20)), kQuickDumbbell2Ceiling);
+    add(run_dumbbell(8, sim::seconds(quick ? 2 : 10)), kQuickDumbbell8Ceiling);
   }
 
   // Leaf-spine sweep: scaling in job count at a fixed fan-out.
@@ -464,17 +376,16 @@ int main(int argc, char** argv) {
     for (const int jobs : sweep) {
       const sim::SimTime window =
           quick ? sim::milliseconds(1500) : sim::seconds(jobs >= 128 ? 2 : 4);
-      results.push_back(best_of([&] {
-        return run_leaf_spine(jobs, flows_per_job, window, background, shards);
-      }));
+      add(run_leaf_spine(jobs, flows_per_job, window, shards),
+          kQuickLeafSpine8Ceiling);
     }
     // Optional extra scale point (e.g. the 2048-job sharded record): a short
     // window keeps the wall time bounded while every job still posts flows.
+    // It is not held to a work ceiling: its window completes no GPT-2
+    // message.
     if (extra_jobs > 0) {
-      results.push_back(best_of([&] {
-        return run_leaf_spine(extra_jobs, flows_per_job,
-                              sim::milliseconds(500), background, shards);
-      }));
+      add(run_leaf_spine(extra_jobs, flows_per_job, sim::milliseconds(500),
+                         shards));
     }
   }
 
@@ -485,7 +396,7 @@ int main(int argc, char** argv) {
       {"name", "jobs", "flows", "shards", "workers", "sim_s", "events",
        "transfers", "wall_s", "sim_s_per_wall_s", "wall_us_per_transfer",
        "events_per_transfer", "null_msgs_per_event", "peak_rss_mb",
-       "rss_delta_mb", "null_msgs", "stalls", "digest", "background"});
+       "null_msgs", "stalls", "digest"});
   char digest_hex[17];
   for (const RunResult& r : results) {
     std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, r.digest);
@@ -497,22 +408,19 @@ int main(int argc, char** argv) {
               std::to_string(r.per_transfer(r.wall_s * 1e6)),
               std::to_string(r.per_transfer(static_cast<double>(r.events))),
               std::to_string(r.null_msgs_per_event()),
-              std::to_string(r.rss_mb), std::to_string(r.rss_delta_mb),
-              std::to_string(r.null_msgs), std::to_string(r.stalls),
-              digest_hex, r.background});
+              std::to_string(r.rss_mb), std::to_string(r.null_msgs),
+              std::to_string(r.stalls), digest_hex});
   }
 
-  // Simulation-deterministic companion CSV: only fields that are a pure
-  // function of the model (no wall time, no RSS, and no event count — lane
-  // timers repartition replay events across shards). The shard-speedup gate
-  // byte-diffs this file across shard counts.
-  auto sim_csv = bench::open_csv(
-      "cluster_scale_sim",
-      {"name", "jobs", "flows", "sim_s", "background", "digest"});
+  // Simulation-deterministic companion CSV: the digest and the point it
+  // belongs to, with no wall time or RSS. The shard-speedup gate byte-diffs
+  // this file across shard counts.
+  auto sim_csv = bench::open_csv("cluster_scale_sim",
+                                 {"name", "jobs", "flows", "sim_s", "digest"});
   for (const RunResult& r : results) {
     std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, r.digest);
     sim_csv->row({r.name, std::to_string(r.jobs), std::to_string(r.flows),
-                  std::to_string(r.sim_s), r.background, digest_hex});
+                  std::to_string(r.sim_s), digest_hex});
   }
-  return 0;
+  return status;
 }

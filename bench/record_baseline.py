@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Records one bench's runs into results/BENCH_*.json and gates them.
+"""Records one bench's runs into results/BENCH_*.json.
 
 Usage:
-  bench/record_baseline.py BENCH [--section=S] [--check-against=S] [-- ARGS]
+  bench/record_baseline.py BENCH [--section=S] [-- ARGS]
 
-Runs build/bench/BENCH with ARGS (the bench's own flags, e.g. --quick
---repeat=3 for cluster_scale) from the repository root and parses its runs:
+Runs build/bench/BENCH with ARGS (the bench's own flags, e.g. --quick for
+cluster_scale) from the repository root and parses its runs:
 `RESULT k=v ...` lines from cluster_scale and runner_scaling, google-
 benchmark's --benchmark_format=json from micro_benchmarks (the median row
 when repetitions are on). cluster_scale writes results/BENCH_scale.json; the
@@ -16,17 +16,12 @@ Schema 2: {"schema": 2, "<section>": {"commit", "cpus", "args", "runs"}}.
 bench/ or CMakeLists.txt differ from it; `cpus` is `nproc`; `args` lists
 the command lines recorded into the section. Recording into a section
 written at the same commit adds to it (a run replaces the run with the same
-key); at another commit the section starts afresh.
+name, jobs, shards and threads); at another commit the section starts
+afresh.
 
---check-against=S gates the new runs against section S as it stood before
-this run was recorded. Runs match on name, jobs, shards, background and
-threads. A run fails when its throughput (sim_s_per_wall_s, or
-items_per_second) is more than 10% below the reference, or its work
-(events_per_transfer) is more than 1.5x above it. A field is gated only
-when both values are positive, so rows without transfers are not gated on
-work. null_msgs_per_event is recorded but not gated: threaded shards make
-it vary from run to run. Exits 1 on any failure, when no run matches, or
-when the matched runs carry no gated field.
+It gates nothing: bench/perf_pairs.py compares wall time with the parent
+commit (recording through the helpers below), and the cluster_scale_quick
+ctest holds cluster_scale's work per transfer.
 """
 
 import argparse
@@ -41,20 +36,20 @@ OUTPUT = {
     "runner_scaling": "BENCH_engine.json",
     "micro_benchmarks": "BENCH_engine.json",
 }
-KEY = ("name", "jobs", "shards", "background", "threads")
-STRING_FIELDS = {"name", "background", "digest"}
-THROUGHPUT = ("sim_s_per_wall_s", "items_per_second")
-WORK = ("events_per_transfer",)
-MAX_SLOWDOWN = 0.10
-MAX_WORK_GROWTH = 1.5
+KEY = ("name", "jobs", "shards", "threads")
+STRING_FIELDS = {"name", "digest"}
 
 
-def commit():
-    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+def commit(tree=ROOT):
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
                           capture_output=True, text=True, check=True)
     dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src",
-                            "bench", "CMakeLists.txt"], cwd=ROOT).returncode
+                            "bench", "CMakeLists.txt"], cwd=tree).returncode
     return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def cpus():
+    return len(os.sched_getaffinity(0))  # What nproc counts.
 
 
 def run_bench(bench, args):
@@ -113,6 +108,12 @@ def load(path):
         return {"schema": 2}
 
 
+def save(path, doc):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def record(path, section, bench, args, runs):
     doc = load(path)
     stamp = commit()
@@ -124,48 +125,10 @@ def record(path, section, bench, args, runs):
         commands = old["args"] + ([] if command in old["args"] else [command])
     else:
         commands = [command]
-    cpus = int(subprocess.run(["nproc"], capture_output=True, text=True,
-                              check=True).stdout)
-    doc[section] = {"commit": stamp, "cpus": cpus, "args": commands,
-                    "runs": runs}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote section '{section}' ({stamp}, {cpus} cpus) to {path}")
-
-
-def gate(runs, reference, ref_name):
-    """Prints one verdict per gated field; returns the failure count."""
-    ref = {key(r): r for r in reference["runs"]}
-    failures = 0
-    matched = 0
-    compared = 0
-    for r in runs:
-        b = ref.get(key(r))
-        if b is None:
-            continue
-        matched += 1
-        label = " ".join(f"{k}={r[k]}" for k in KEY if k in r)
-        for field in THROUGHPUT + WORK:
-            new, old = r.get(field, 0), b.get(field, 0)
-            if new <= 0 or old <= 0:
-                continue
-            compared += 1
-            if field in THROUGHPUT:
-                bound, limit = "floor", old * (1 - MAX_SLOWDOWN)
-                ok = new >= limit
-            else:
-                bound, limit = "ceiling", old * MAX_WORK_GROWTH
-                ok = new <= limit
-            print(f"gate {label}: {field} {new:g} vs {ref_name} {old:g} "
-                  f"({bound} {limit:g}) -> {'ok' if ok else 'REGRESSED'}")
-            failures += not ok
-    if matched == 0:
-        sys.exit(f"no run matches a run of section '{ref_name}'")
-    if compared == 0:
-        sys.exit(f"the runs matching section '{ref_name}' carry no gated "
-                 "field; nothing was checked")
-    return failures
+    n = cpus()
+    doc[section] = {"commit": stamp, "cpus": n, "args": commands, "runs": runs}
+    save(path, doc)
+    print(f"wrote section '{section}' ({stamp}, {n} cpus) to {path}")
 
 
 def main():
@@ -174,29 +137,16 @@ def main():
     bench_args = argv[split + 1:]
     parser = argparse.ArgumentParser(
         add_help=False,
-        usage="%(prog)s BENCH [--section=S] [--check-against=S] [-- ARGS]")
+        usage="%(prog)s BENCH [--section=S] [-- ARGS]")
     parser.add_argument("bench", choices=sorted(OUTPUT))
     parser.add_argument("--section", default="current")
-    parser.add_argument("--check-against")
     opts = parser.parse_args(argv[:split])
 
     runs = parse_runs(opts.bench, run_bench(opts.bench, bench_args))
     if not runs:
         sys.exit(f"{opts.bench} printed no runs; nothing recorded")
-    path = os.path.join(ROOT, "results", OUTPUT[opts.bench])
-    # The reference as it stood before this run, so that recording into the
-    # section being checked against cannot compare the runs with themselves.
-    reference = load(path).get(opts.check_against)
-    record(path, opts.section, opts.bench, bench_args, runs)
-    if opts.check_against:
-        if reference is None:
-            sys.exit(f"no section '{opts.check_against}' in {path}")
-        failures = gate(runs, reference, opts.check_against)
-        if failures:
-            sys.exit(f"{failures} gated field(s) regressed against section "
-                     f"'{opts.check_against}' (throughput floor "
-                     f"-{MAX_SLOWDOWN:.0%}, work ceiling {MAX_WORK_GROWTH}x)")
-        print(f"gate passed against section '{opts.check_against}'")
+    record(os.path.join(ROOT, "results", OUTPUT[opts.bench]), opts.section,
+           opts.bench, bench_args, runs)
 
 
 if __name__ == "__main__":

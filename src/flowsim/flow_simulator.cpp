@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 
@@ -19,11 +18,6 @@ namespace {
 /// arm the timer one nanosecond past the exact drain time, so remaining
 /// lands at or below zero; the epsilon only absorbs float drift.
 constexpr double kDrainEpsilon = 1e-3;
-
-bool env_full_recompute() {
-  const char* v = std::getenv("MLTCP_FLOWSIM_FULL_RECOMPUTE");
-  return v != nullptr && v[0] == '1';
-}
 
 /// What a faulted link can actually carry, in bytes/second. Down and
 /// blackholed links carry nothing (routes may still point at them); a
@@ -168,7 +162,6 @@ FlowSimulator::FlowSimulator(sim::Simulator& simulator,
       topo_(topology),
       cfg_(cfg),
       timer_(simulator, [this] { on_timer(); }) {
-  cfg_.full_recompute = cfg_.full_recompute || env_full_recompute();
   topo_.set_change_hook([this] {
     routes_dirty_ = true;
     schedule_recompute();

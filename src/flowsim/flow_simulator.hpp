@@ -30,8 +30,7 @@ struct FlowSimConfig {
   /// Escape hatch: water-fill the whole fabric on every recompute instead
   /// of only the dirty region — the reference the incremental path is
   /// differentially tested against. Model output (rates, completion times)
-  /// is bit-identical either way; only the work done differs. Defaults to
-  /// the MLTCP_FLOWSIM_FULL_RECOMPUTE environment variable.
+  /// is bit-identical either way; only the work done differs.
   bool full_recompute = false;
 };
 
