@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "workload/collective.hpp"
@@ -104,6 +105,21 @@ sim::RateBinner* bottleneck_binner_for_job(Experiment& exp,
   return binner;
 }
 
+std::vector<CcVariant> cc_family(const core::MltcpConfig& cfg) {
+  return {{"reno", core::reno_factory(), false},
+          {"mltcp-reno", core::mltcp_reno_factory(cfg), false},
+          {"cubic", core::cubic_factory(), false},
+          {"mltcp-cubic", core::mltcp_cubic_factory(cfg), false},
+          {"dctcp", core::dctcp_factory(), true},
+          {"mltcp-dctcp", core::mltcp_dctcp_factory(cfg), true},
+          {"swift", core::swift_factory(), false},
+          {"mltcp-swift", core::mltcp_swift_factory(cfg), false},
+          {"bbr", core::bbr_factory(), false},
+          {"mltcp-bbr", core::mltcp_bbr_factory(cfg), false},
+          {"gemini", core::gemini_factory(), true},
+          {"mltcp-gemini", core::mltcp_gemini_factory(cfg), true}};
+}
+
 void print_header(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
@@ -132,6 +148,26 @@ void print_row(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     std::printf("%s%s", cells[i].c_str(), i + 1 < cells.size() ? " | " : "\n");
   }
+}
+
+bool quick_flag(int argc, char** argv) {
+  const std::string name = std::filesystem::path(argv[0]).filename();
+  bool quick = false;
+  bool bad = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", name.c_str(),
+                   argv[i]);
+      bad = true;
+    }
+  }
+  if (bad) {
+    std::fprintf(stderr, "usage: %s [--quick]\n", name.c_str());
+    std::exit(2);
+  }
+  return quick;
 }
 
 runner::CampaignOptions campaign_options() {

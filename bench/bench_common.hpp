@@ -81,6 +81,19 @@ sim::RateBinner* bottleneck_binner_for_job(Experiment& exp,
                                            std::size_t job_index,
                                            sim::SimTime bin_width);
 
+/// One member of the congestion-control family the paper's §3.1/§6 claim
+/// covers. `ecn_bottleneck` asks for an ECN-marking bottleneck queue, the
+/// signal DCTCP and Gemini's intra-DC loop need.
+struct CcVariant {
+  std::string name;
+  tcp::CcFactory cc;
+  bool ecn_bottleneck = false;
+};
+
+/// Reno, CUBIC, DCTCP, Swift, BBR and Gemini, ordered as (plain, MLTCP)
+/// pairs: entry 2k+1 is entry 2k with the MLTCP gain configured by `cfg`.
+std::vector<CcVariant> cc_family(const core::MltcpConfig& cfg);
+
 /// ---- memory attribution ----
 
 /// Process-wide peak RSS in MB. This is a kernel high-water mark: across a
@@ -101,10 +114,17 @@ void print_row(const std::vector<std::string>& cells);
 void exit_if_truncated(const analysis::DumbbellRun& run,
                        const std::string& what);
 
+/// Reads the command line of a bench whose only flag is `--quick` and
+/// returns whether it was given. Every other argument is reported with a
+/// usage line and the process exits 2: a typo must never run a different
+/// sweep than the one asked for.
+bool quick_flag(int argc, char** argv);
+
 /// ---- campaign execution ----
 
 /// Thread options for a bench's parameter sweep: MLTCP_THREADS environment
-/// variable, 0/unset = hardware concurrency, 1 = serial reference run.
+/// variable, 0/unset = hardware concurrency, 1 = serial reference run,
+/// anything else exits 2.
 /// Every bench shards its sweep through runner::run_campaign with these
 /// options; results are keyed by spec index, so the printed output and any
 /// CSV are byte-identical at every thread count.

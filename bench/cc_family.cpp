@@ -13,13 +13,13 @@
 //   cc_family --quick  CI smoke variant: fewer iterations, and the run
 //                      fails (exit 1) unless every MLTCP variant beats its
 //                      plain counterpart's converged tail.
+// Any other argument exits 2.
 //
 // Any job that ends a run with an empty iteration record is a truncated
 // run: its tail would silently read as 0 and make the variant look ideal,
 // so the bench fails loudly instead (same policy as noise_error_bound).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,15 +30,10 @@
 namespace {
 
 using namespace mltcp;
+using bench::CcVariant;
 
 constexpr int kJobs = 3;
 constexpr double kNoise = 0.002;
-
-struct Variant {
-  std::string name;
-  tcp::CcFactory cc;
-  bool ecn_bottleneck = false;
-};
 
 struct Outcome {
   double mean = 0.0;
@@ -48,7 +43,7 @@ struct Outcome {
   bool truncated = false;  ///< A job finished with no iterations at all.
 };
 
-Outcome run(const Variant& v, bool quick) {
+Outcome run(const CcVariant& v, bool quick) {
   const int iterations = quick ? 30 : 110;
   const sim::SimTime horizon = sim::seconds(quick ? 140 : 420);
 
@@ -100,10 +95,7 @@ Outcome run(const Variant& v, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_flag(argc, argv);
 
   std::printf("MLTCP across the congestion-control family (§3.1, §6): three "
               "GPT-2 jobs per variant%s.\n",
@@ -114,24 +106,12 @@ int main(int argc, char** argv) {
 
   // Ordered as (plain, mltcp) pairs: the quick gate compares index 2k+1
   // against 2k.
-  std::vector<Variant> variants;
-  variants.push_back({"reno", core::reno_factory(), false});
-  variants.push_back({"mltcp-reno", core::mltcp_reno_factory(cfg), false});
-  variants.push_back({"cubic", core::cubic_factory(), false});
-  variants.push_back({"mltcp-cubic", core::mltcp_cubic_factory(cfg), false});
-  variants.push_back({"dctcp", core::dctcp_factory(), true});
-  variants.push_back({"mltcp-dctcp", core::mltcp_dctcp_factory(cfg), true});
-  variants.push_back({"swift", core::swift_factory(), false});
-  variants.push_back({"mltcp-swift", core::mltcp_swift_factory(cfg), false});
-  variants.push_back({"bbr", core::bbr_factory(), false});
-  variants.push_back({"mltcp-bbr", core::mltcp_bbr_factory(cfg), false});
-  variants.push_back({"gemini", core::gemini_factory(), true});
-  variants.push_back({"mltcp-gemini", core::mltcp_gemini_factory(cfg), true});
+  const std::vector<CcVariant> variants = bench::cc_family(cfg);
 
   // Independent worlds: shard the matrix across threads, print in order.
-  const std::vector<Outcome> results = runner::run_campaign<Variant, Outcome>(
+  const std::vector<Outcome> results = runner::run_campaign<CcVariant, Outcome>(
       variants,
-      [quick](const Variant& v, std::size_t) { return run(v, quick); },
+      [quick](const CcVariant& v, std::size_t) { return run(v, quick); },
       bench::campaign_options());
 
   const double ideal = sim::to_seconds(gpt2.ideal_iteration_time);

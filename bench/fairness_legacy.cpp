@@ -30,6 +30,7 @@
 namespace {
 
 using namespace mltcp;
+using bench::CcVariant;
 
 /// Mean goodput (Gbps) of one periodic job over `iters` iterations on a
 /// link with injected random loss.
@@ -219,30 +220,10 @@ void coexistence() {
               legacy_gbps < 0.05 ? "YES (unexpected)" : "no");
 }
 
-/// One CC flavor of the family matrix. `ecn_bottleneck` switches the
-/// bottleneck queue to an ECN-marking one for the controllers that need the
-/// signal (DCTCP, Gemini's intra-DC loop).
-struct CcVariant {
-  std::string name;
-  tcp::CcFactory cc;
-  bool ecn_bottleneck = false;
-};
-
 net::QueueFactory bottleneck_queue_for(const CcVariant& v) {
   // ~2 ms of buffer at 1 Gbps (the dumbbell default) / DCTCP-style marking.
   return v.ecn_bottleneck ? net::make_ecn_factory(256 * 1500, 20 * 1500)
                           : net::make_droptail_factory(250'000);
-}
-
-std::vector<CcVariant> plain_family() {
-  std::vector<CcVariant> v;
-  v.push_back({"reno", core::reno_factory(), false});
-  v.push_back({"cubic", core::cubic_factory(), false});
-  v.push_back({"dctcp", core::dctcp_factory(), true});
-  v.push_back({"swift", core::swift_factory(), false});
-  v.push_back({"bbr", core::bbr_factory(), false});
-  v.push_back({"gemini", core::gemini_factory(), true});
-  return v;
 }
 
 struct DisparityOutcome {
@@ -299,7 +280,10 @@ DisparityOutcome rtt_disparity_run(const CcVariant& v) {
 
 void rtt_disparity() {
   bench::print_header("(4) RTT-disparity fairness across the CC family");
-  const std::vector<CcVariant> family = plain_family();
+  // The plain members: the even entries of the (plain, MLTCP) pairs.
+  std::vector<CcVariant> family;
+  const std::vector<CcVariant> pairs = bench::cc_family(core::MltcpConfig{});
+  for (std::size_t i = 0; i < pairs.size(); i += 2) family.push_back(pairs[i]);
   const std::vector<DisparityOutcome> results =
       runner::run_campaign<CcVariant, DisparityOutcome>(
           family,
@@ -374,22 +358,10 @@ void incast_coexistence() {
   bench::print_header(
       "(5) incast coexistence: 8:1 parameter-server job vs legacy Reno");
 
-  std::vector<CcVariant> variants;
   core::MltcpConfig cfg;
   cfg.tracker.total_bytes = 2'000'000;
   cfg.tracker.comp_time = sim::milliseconds(20);
-  variants.push_back({"reno", core::reno_factory(), false});
-  variants.push_back({"mltcp-reno", core::mltcp_reno_factory(cfg), false});
-  variants.push_back({"cubic", core::cubic_factory(), false});
-  variants.push_back({"mltcp-cubic", core::mltcp_cubic_factory(cfg), false});
-  variants.push_back({"dctcp", core::dctcp_factory(), true});
-  variants.push_back({"mltcp-dctcp", core::mltcp_dctcp_factory(cfg), true});
-  variants.push_back({"swift", core::swift_factory(), false});
-  variants.push_back({"mltcp-swift", core::mltcp_swift_factory(cfg), false});
-  variants.push_back({"bbr", core::bbr_factory(), false});
-  variants.push_back({"mltcp-bbr", core::mltcp_bbr_factory(cfg), false});
-  variants.push_back({"gemini", core::gemini_factory(), true});
-  variants.push_back({"mltcp-gemini", core::mltcp_gemini_factory(cfg), true});
+  const std::vector<CcVariant> variants = bench::cc_family(cfg);
 
   const std::vector<IncastOutcome> results =
       runner::run_campaign<CcVariant, IncastOutcome>(

@@ -32,11 +32,11 @@
 // Modes:
 //   fidelity_gate          full gate (the recorded bounds)
 //   fidelity_gate --quick  CI smoke variant: shorter slices, same bounds
+// Any other argument exits 2.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -306,10 +306,7 @@ void gate_fct(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_flag(argc, argv);
   bench::print_header(quick ? "fidelity gate (quick)" : "fidelity gate");
 
   gate_training(2, quick ? 10 : 20);

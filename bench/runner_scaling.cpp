@@ -9,12 +9,14 @@
 //   ./build/bench/runner_scaling            # 32 runs, threads {1,2,4}
 //   MLTCP_RUNS=64 ./build/bench/runner_scaling
 //
-// On a single-core machine the speedup degenerates to ~1x (the pool runs
-// everything inline); the byte-identity check is meaningful regardless.
+// It exits 1 when a parallel CSV differs from the serial one, and 2 when
+// MLTCP_RUNS is not an integer >= 1.
+//
+// On a single-core machine the speedup degenerates to ~1x (the pool's
+// threads share the core); the byte-identity check is meaningful regardless.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,10 +106,7 @@ CampaignOutcome run_campaign_at(const std::vector<ScalingSpec>& specs,
 }  // namespace
 
 int main() {
-  int runs = 32;
-  if (const char* env = std::getenv("MLTCP_RUNS")) {
-    runs = std::max(std::atoi(env), 1);
-  }
+  const int runs = runner::int_from_env("MLTCP_RUNS", 32, 1);
   std::vector<ScalingSpec> specs;
   for (int i = 0; i < runs; ++i) {
     specs.push_back(ScalingSpec{0.001 + 0.0005 * i});

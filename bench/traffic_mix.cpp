@@ -29,10 +29,10 @@
 //
 //   traffic_mix           full windows
 //   traffic_mix --quick   CI smoke point (short windows, same variants)
+// Any other argument exits 2.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -263,10 +263,7 @@ Result run(const Spec& spec, std::size_t run_index, runner::CsvSink& csv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_flag(argc, argv);
 
   const std::vector<Background> backgrounds = {
       Background::kNone,     Background::kPoisson,  Background::kIncast,

@@ -24,9 +24,6 @@ struct FlowSimConfig {
   /// packet backend updates the gain every ACK; this is the fluid analogue
   /// at a coarser, configurable grain.
   sim::SimTime weight_refresh = sim::milliseconds(20);
-  /// Fraction of a link's capacity below which residual capacity is treated
-  /// as exhausted by the water-filling loop (guards float drift).
-  double capacity_epsilon = 1e-9;
   /// Escape hatch: water-fill the whole fabric on every recompute instead
   /// of only the dirty region — the reference the incremental path is
   /// differentially tested against. Model output (rates, completion times)

@@ -1,16 +1,29 @@
 #include "runner/campaign.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace mltcp::runner {
 
 CampaignOptions options_from_env() {
   CampaignOptions opts;
-  if (const char* env = std::getenv("MLTCP_THREADS")) {
-    opts.threads = std::atoi(env);
-    if (opts.threads < 0) opts.threads = 0;
-  }
+  opts.threads = int_from_env("MLTCP_THREADS", 0, 0);
   return opts;
+}
+
+int int_from_env(const char* name, int fallback, int min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  int value = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    std::fprintf(stderr, "%s wants an integer >= %d, got '%s'\n", name, min,
+                 env);
+    std::exit(2);
+  }
+  return value;
 }
 
 void Report::addf(const char* fmt, ...) {

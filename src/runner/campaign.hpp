@@ -23,8 +23,15 @@ struct CampaignOptions {
 
 /// Reads the MLTCP_THREADS environment variable (0 or unset = hardware
 /// concurrency) so any campaign binary can be forced serial or to a fixed
-/// parallelism without a rebuild.
+/// parallelism without a rebuild. Exits 2 on a value that is not an integer
+/// >= 0 (see int_from_env).
 CampaignOptions options_from_env();
+
+/// Reads the integer environment variable `name`, or `fallback` when it is
+/// unset. A value that is not an integer >= `min` is reported on stderr,
+/// naming the variable and the value, and the process exits 2: a typo must
+/// never run a different campaign than the one asked for.
+int int_from_env(const char* name, int fallback, int min);
 
 /// printf-style text accumulator. Campaign bodies run concurrently, so they
 /// must not write to stdout directly; they build a Report instead and the
@@ -57,7 +64,7 @@ std::vector<Result> run_campaign(
     const std::function<Result(const Spec&, std::size_t)>& body,
     const CampaignOptions& opts = {}) {
   std::vector<std::optional<Result>> slots(specs.size());
-  WorkStealingPool pool(opts.threads);
+  TaskPool pool(opts.threads);
   pool.run(specs.size(), [&](std::size_t i) { slots[i] = body(specs[i], i); });
   std::vector<Result> ordered;
   ordered.reserve(specs.size());

@@ -1,6 +1,7 @@
 #include "runner/thread_pool.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -8,85 +9,24 @@
 
 namespace mltcp::runner {
 
-namespace {
-
-/// One worker's task queue. A plain mutex per deque is plenty here: tasks
-/// are whole simulation runs (milliseconds to seconds), so lock traffic is
-/// a few acquisitions per run, not per packet.
-struct WorkerDeque {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;
-
-  bool pop_front(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    out = tasks.front();
-    tasks.pop_front();
-    return true;
-  }
-
-  bool steal_back(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    out = tasks.back();
-    tasks.pop_back();
-    return true;
-  }
-};
-
-}  // namespace
-
-WorkStealingPool::WorkStealingPool(int threads) : threads_(threads) {
+TaskPool::TaskPool(int threads) : threads_(threads) {
   if (threads_ <= 0) {
     threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (threads_ <= 0) threads_ = 1;
   }
 }
 
-void WorkStealingPool::run(std::size_t count,
-                           const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(threads_), count));
-  if (workers <= 1) {
-    // Same contract as the threaded path: a throwing task does not abandon
-    // the rest of the batch; the first exception surfaces at the end.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < count; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-
-  std::vector<WorkerDeque> deques(static_cast<std::size_t>(workers));
-  // Round-robin deal: worker w starts with tasks w, w+workers, w+2*workers...
-  // so every worker owns a slice spread across the whole index range.
-  for (std::size_t i = 0; i < count; ++i) {
-    deques[i % static_cast<std::size_t>(workers)].tasks.push_back(i);
-  }
-
+void TaskPool::run(std::size_t count,
+                   const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
-
-  auto worker_loop = [&](int me) {
-    std::size_t task = 0;
-    for (;;) {
-      bool found = deques[static_cast<std::size_t>(me)].pop_front(task);
-      // Own deque empty: sweep the victims once; if every deque is dry the
-      // batch is finished (tasks are never re-queued).
-      for (int off = 1; !found && off < workers; ++off) {
-        found = deques[static_cast<std::size_t>((me + off) % workers)]
-                    .steal_back(task);
-      }
-      if (!found) return;
+  // Every thread, the caller included, takes indices in increasing order
+  // until none are left; alone, the caller runs them all in index order.
+  auto drain = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
       try {
-        fn(task);
+        fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
@@ -94,14 +34,14 @@ void WorkStealingPool::run(std::size_t count,
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) {
-    threads.emplace_back(worker_loop, w);
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(threads_), count);
+  {
+    // jthreads join when this scope ends, on an exception path too.
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(drain);
+    drain();
   }
-  worker_loop(0);
-  for (std::thread& t : threads) t.join();
-
   if (first_error) std::rethrow_exception(first_error);
 }
 

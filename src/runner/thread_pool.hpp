@@ -5,22 +5,18 @@
 
 namespace mltcp::runner {
 
-/// Work-stealing executor for batches of independent, index-addressed tasks.
-///
-/// Tasks are dealt round-robin onto per-worker deques; each worker pops from
-/// the front of its own deque and, when that runs dry, steals from the back
-/// of a victim's. Stealing from the opposite end keeps contention low and
-/// tends to hand thieves the large-granularity tail of a batch, which is
-/// exactly what a campaign of unevenly sized simulation runs needs.
+/// Executor for batches of independent, index-addressed tasks. Each task is
+/// a whole simulation run, so the threads share one atomic next-index: a
+/// thread that finishes a run takes the lowest index nobody has started.
 ///
 /// The pool is ephemeral: run() spawns its workers, blocks until every task
 /// has executed, and joins them. A campaign is seconds-to-minutes of work,
 /// so thread start-up cost is noise and there is no idle-pool lifetime to
 /// manage.
-class WorkStealingPool {
+class TaskPool {
  public:
   /// `threads` <= 0 selects std::thread::hardware_concurrency().
-  explicit WorkStealingPool(int threads = 0);
+  explicit TaskPool(int threads = 0);
 
   int thread_count() const { return threads_; }
 
@@ -28,7 +24,7 @@ class WorkStealingPool {
   /// threads; blocks until all have finished. With one thread (or one task)
   /// everything runs inline on the caller, in index order — the serial
   /// reference path. If any task throws, the remaining tasks still run and
-  /// the first exception (by worker discovery order) is rethrown.
+  /// the first exception caught is rethrown after the batch.
   void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

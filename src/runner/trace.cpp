@@ -8,11 +8,6 @@ std::string trace_path(const std::string& dir, const std::string& base,
          ".trace.json";
 }
 
-std::string artifact_path(const std::string& dir, const std::string& base,
-                          std::size_t run_index, const std::string& ext) {
-  return dir + "/" + base + ".run" + std::to_string(run_index) + "." + ext;
-}
-
 RunTrace::RunTrace(const std::string& path, std::uint32_t categories,
                    std::size_t ring_capacity)
     : sink_(path),

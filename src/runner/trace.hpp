@@ -15,13 +15,6 @@ namespace mltcp::runner {
 std::string trace_path(const std::string& dir, const std::string& base,
                        std::size_t run_index);
 
-/// Index-keyed path for any other per-run campaign artifact:
-/// `<dir>/<base>.run<index>.<ext>` (e.g. per-pattern FCT CDF CSVs). Same
-/// keying contract as trace_path: the name depends only on the run index,
-/// never on worker identity or completion order.
-std::string artifact_path(const std::string& dir, const std::string& base,
-                          std::size_t run_index, const std::string& ext);
-
 /// Per-run tracing bundle for campaign bodies: a Tracer streaming to a
 /// Chrome-trace JSON file. Construct one inside the run body (each run owns
 /// its world), attach it to the run's Simulator, and finish() (or let the

@@ -26,17 +26,12 @@ void EventQueue::release_slot(std::uint32_t slot) { free_.push_back(slot); }
 
 // ---------------------------------------------------------------- 4-ary heap
 
-void EventQueue::push_entry(SimTime when, std::uint32_t slot,
-                            std::uint32_t gen) {
-  heap_.push_back(HeapEntry{when, kOrdinalBand | seq_++, slot, gen});
-  sift_up(heap_.size() - 1);
-}
-
-void EventQueue::push_entry_keyed(SimTime when, std::uint64_t key,
-                                  std::uint32_t slot, std::uint32_t gen) {
-  assert(key < kOrdinalBand && "canonical keys live below the ordinal band");
-  ++seq_;  // Keeps total_scheduled() an exact push count.
-  heap_.push_back(HeapEntry{when, key, slot, gen});
+void EventQueue::push_entry(SimTime when, std::uint64_t key,
+                            std::uint32_t slot, std::uint32_t gen) {
+  assert(key <= kOrdinalBand && "canonical keys live below the ordinal band");
+  const std::uint64_t ordinal = seq_++;
+  heap_.push_back(HeapEntry{
+      when, key == kOrdinalBand ? kOrdinalBand | ordinal : key, slot, gen});
   sift_up(heap_.size() - 1);
 }
 
@@ -140,15 +135,6 @@ void EventQueue::maybe_compact() {
 
 // ----------------------------------------------------------------- schedule
 
-EventId EventQueue::schedule(SimTime when, EventCallback fn) {
-  const std::uint32_t slot = acquire_slot();
-  payload(slot).fn = std::move(fn);
-  const std::uint32_t gen = ++gens_[slot];  // even -> odd: armed
-  ++live_;
-  push_entry(when, slot, gen);
-  return make_id(slot, gen);
-}
-
 bool EventQueue::cancel(EventId id) {
   std::uint32_t slot, gen;
   if (!decode(id, slot, gen)) return false;
@@ -176,71 +162,20 @@ SimTime EventQueue::next_time() const {
   return heap_[0].when;
 }
 
-std::uint64_t EventQueue::next_key() const {
-  assert(live_ != 0 && "peek on empty queue");
-  drop_dead_front();
-  return heap_[0].seq;
-}
-
 bool EventQueue::pop_and_run_before_key(SimTime when_limit,
                                         std::uint64_t key_limit,
                                         SimTime* clock) {
   drop_dead_front();
   assert(!heap_.empty() && "pop on empty queue");
-  const SimTime when = heap_[0].when;
-  if (when > when_limit || (when == when_limit && heap_[0].seq >= key_limit)) {
-    return false;
-  }
-  *clock = when;
-  const std::uint32_t slot = heap_[0].slot;
-  SlotPayload& p = payload(slot);
-  __builtin_prefetch(&p);
-  pop_front();
-  ++gens_[slot];  // consumed: odd -> even (no stale entry; it just popped)
-  --live_;
-  if (p.timer == nullptr) {
-    p.fn();
-    p.fn.reset();
-    release_slot(slot);
-  } else {
-    p.timer->fn_();
-  }
-  return true;
-}
-
-bool EventQueue::pop_and_run_before(SimTime deadline, SimTime* clock) {
-  drop_dead_front();
-  assert(!heap_.empty() && "pop on empty queue");
-  const SimTime when = heap_[0].when;
-  if (when > deadline) return false;
-  *clock = when;
-  const std::uint32_t slot = heap_[0].slot;
-  SlotPayload& p = payload(slot);
-  __builtin_prefetch(&p);
-  pop_front();
-  ++gens_[slot];  // consumed: odd -> even (no stale entry; it just popped)
-  --live_;
-  if (p.timer == nullptr) {
-    p.fn();
-    p.fn.reset();
-    release_slot(slot);
-  } else {
-    p.timer->fn_();
-  }
-  return true;
-}
-
-SimTime EventQueue::pop_and_run() {
-  drop_dead_front();
-  assert(!heap_.empty() && "pop on empty queue");
-  const SimTime when = heap_[0].when;
-  const std::uint32_t slot = heap_[0].slot;
-  SlotPayload& p = payload(slot);
+  const HeapEntry front = heap_[0];
+  if (!before(front, HeapEntry{when_limit, key_limit, 0, 0})) return false;
+  *clock = front.when;
+  SlotPayload& p = payload(front.slot);
   // Start pulling the payload line in while the sift below runs; the two
   // are independent and the payload is usually the colder of the two.
   __builtin_prefetch(&p);
   pop_front();
-  ++gens_[slot];  // consumed: odd -> even (no stale entry; it just popped)
+  ++gens_[front.slot];  // consumed: odd -> even (no stale entry; it popped)
   --live_;
   if (p.timer == nullptr) {
     // Chunked payload storage is address-stable, so the callback runs in
@@ -248,13 +183,13 @@ SimTime EventQueue::pop_and_run() {
     // slot returns to the free list only after it finishes.
     p.fn();
     p.fn.reset();
-    release_slot(slot);
+    release_slot(front.slot);
   } else {
     // Timer fire: the callback lives in the QueueTimer (stable storage), so
     // it runs in place and may rearm itself; the slot stays bound.
     p.timer->fn_();
   }
-  return when;
+  return true;
 }
 
 // -------------------------------------------------------------- QueueTimer
@@ -271,7 +206,8 @@ void EventQueue::timer_release(std::uint32_t slot) {
   release_slot(slot);
 }
 
-void EventQueue::timer_arm(std::uint32_t slot, SimTime when) {
+void EventQueue::timer_arm(std::uint32_t slot, SimTime when,
+                           std::uint64_t key) {
   if ((gens_[slot] & 1) != 0) {
     // Rearm in place: bump the generation so the superseded heap entry goes
     // stale; the callback is untouched. Two bumps keep the armed parity.
@@ -282,20 +218,7 @@ void EventQueue::timer_arm(std::uint32_t slot, SimTime when) {
     ++gens_[slot];  // even -> odd: armed
     ++live_;
   }
-  push_entry(when, slot, gens_[slot]);
-}
-
-void EventQueue::timer_arm_keyed(std::uint32_t slot, SimTime when,
-                                 std::uint64_t key) {
-  if ((gens_[slot] & 1) != 0) {
-    gens_[slot] += 2;
-    ++stale_;
-    maybe_compact();
-  } else {
-    ++gens_[slot];  // even -> odd: armed
-    ++live_;
-  }
-  push_entry_keyed(when, key, slot, gens_[slot]);
+  push_entry(when, key, slot, gens_[slot]);
 }
 
 void EventQueue::timer_cancel(std::uint32_t slot) {
@@ -321,16 +244,10 @@ void QueueTimer::release() {
   fn_.reset();
 }
 
-void QueueTimer::arm(SimTime when) {
-  assert(queue_ != nullptr && "arming an unbound timer");
-  deadline_ = when;
-  queue_->timer_arm(slot_, when);
-}
-
 void QueueTimer::arm_keyed(SimTime when, std::uint64_t key) {
   assert(queue_ != nullptr && "arming an unbound timer");
   deadline_ = when;
-  queue_->timer_arm_keyed(slot_, when, key);
+  queue_->timer_arm(slot_, when, key);
 }
 
 void QueueTimer::cancel() {

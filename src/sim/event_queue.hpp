@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,22 +62,13 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `fn` to run at absolute time `when`.
-  EventId schedule(SimTime when, EventCallback fn);
-
-  /// Same, but constructs the callable directly in slot storage — the
-  /// closure never exists on the caller's stack, saving a capture-sized
-  /// copy per schedule on the packet hot path.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventCallback>>>
+  /// Schedules `fn` to run at absolute time `when`, in push order among the
+  /// ordinary events of that instant. The callable is constructed directly
+  /// in slot storage: the closure never exists on the caller's stack, saving
+  /// a capture-sized copy per schedule on the packet hot path.
+  template <typename F>
   EventId schedule(SimTime when, F&& fn) {
-    const std::uint32_t slot = acquire_slot();
-    payload(slot).fn.emplace(std::forward<F>(fn));
-    const std::uint32_t gen = ++gens_[slot];  // even -> odd: armed
-    ++live_;
-    push_entry(when, slot, gen);
-    return make_id(slot, gen);
+    return emplace(when, kOrdinalBand, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at `when` with an explicit canonical tiebreak key
@@ -86,12 +76,7 @@ class EventQueue {
   /// order must not depend on scheduling history — see the class comment.
   template <typename F>
   EventId schedule_keyed(SimTime when, std::uint64_t key, F&& fn) {
-    const std::uint32_t slot = acquire_slot();
-    payload(slot).fn.emplace(std::forward<F>(fn));
-    const std::uint32_t gen = ++gens_[slot];  // even -> odd: armed
-    ++live_;
-    push_entry_keyed(when, key, slot, gen);
-    return make_id(slot, gen);
+    return emplace(when, key, std::forward<F>(fn));
   }
 
   /// Cancels a pending event. Cancelling an already-fired or unknown id is a
@@ -107,12 +92,13 @@ class EventQueue {
   /// Timestamp of the next live event; kTimeInfinity when empty.
   SimTime next_time() const;
 
-  /// Tiebreak key of the next live event. Precondition: !empty().
-  std::uint64_t next_key() const;
-
   /// Pops and runs the next live event, returning its timestamp.
   /// Precondition: !empty().
-  SimTime pop_and_run();
+  SimTime pop_and_run() {
+    SimTime when = 0;
+    pop_and_run_before_key(kTimeInfinity, kKeyInfinity, &when);
+    return when;
+  }
 
   /// Fused peek + pop for the simulator's run loop: if the next live event
   /// fires at or before `deadline`, stores its timestamp to `*clock` (before
@@ -121,17 +107,17 @@ class EventQueue {
   /// and returns false. One front-of-heap inspection per event instead of
   /// the two a separate next_time()/pop_and_run() pair costs.
   /// Precondition: !empty().
-  bool pop_and_run_before(SimTime deadline, SimTime* clock);
+  bool pop_and_run_before(SimTime deadline, SimTime* clock) {
+    return pop_and_run_before_key(deadline, kKeyInfinity, clock);
+  }
 
-  /// Like pop_and_run_before, but against the lexicographic (time, key)
-  /// bound: runs the front event iff (when, key) < (when_limit, key_limit).
-  /// The sharded runner's local-burst primitive — it drains exactly the
-  /// events that canonically precede the next cross-shard import.
-  /// Precondition: !empty().
+  /// The one run body behind every pop: runs the front event iff
+  /// (when, key) < (when_limit, key_limit) lexicographically. The sharded
+  /// runner calls it directly as its local-burst primitive — it drains
+  /// exactly the events that canonically precede the next cross-shard
+  /// import. Precondition: !empty().
   bool pop_and_run_before_key(SimTime when_limit, std::uint64_t key_limit,
                               SimTime* clock);
-
-  std::uint64_t total_scheduled() const { return seq_; }
 
   /// Backing-store sizes, exposed so tests can assert that cancel-heavy
   /// workloads keep memory bounded (see test_event_engine.cpp).
@@ -142,6 +128,9 @@ class EventQueue {
   friend class QueueTimer;
 
   static constexpr std::uint32_t kNullSlot = 0xffffffffu;
+  /// Key bound above every key, for pops limited by time alone: no push
+  /// ordinal reaches it.
+  static constexpr std::uint64_t kKeyInfinity = ~0ull;
   static constexpr std::uint32_t kSlotChunkShift = 8;
   static constexpr std::uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
   /// Deepest possible 4-ary heap path: ceil(log4(2^64)) + 1 levels.
@@ -205,9 +194,21 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
-  void push_entry(SimTime when, std::uint32_t slot, std::uint32_t gen);
-  void push_entry_keyed(SimTime when, std::uint64_t key, std::uint32_t slot,
-                        std::uint32_t gen);
+  /// The one schedule body: fills a fresh slot and pushes it under `key`.
+  template <typename F>
+  EventId emplace(SimTime when, std::uint64_t key, F&& fn) {
+    const std::uint32_t slot = acquire_slot();
+    payload(slot).fn.emplace(std::forward<F>(fn));
+    const std::uint32_t gen = ++gens_[slot];  // even -> odd: armed
+    ++live_;
+    push_entry(when, key, slot, gen);
+    return make_id(slot, gen);
+  }
+
+  /// Pushes a heap entry. `key` is a canonical key below kOrdinalBand, or
+  /// kOrdinalBand itself for "the next push ordinal" (FIFO).
+  void push_entry(SimTime when, std::uint64_t key, std::uint32_t slot,
+                  std::uint32_t gen);
   void sift_up(std::size_t i);
   /// Index of the smallest of the up-to-four children starting at
   /// `first_child` (heap size `n`).
@@ -222,8 +223,7 @@ class EventQueue {
   // QueueTimer support (slots that persist across fires).
   std::uint32_t timer_bind(QueueTimer* t);
   void timer_release(std::uint32_t slot);
-  void timer_arm(std::uint32_t slot, SimTime when);
-  void timer_arm_keyed(std::uint32_t slot, SimTime when, std::uint64_t key);
+  void timer_arm(std::uint32_t slot, SimTime when, std::uint64_t key);
   void timer_cancel(std::uint32_t slot);
   bool timer_pending(std::uint32_t slot) const {
     return (gens_[slot] & 1) != 0;
@@ -275,9 +275,9 @@ class QueueTimer {
 
   /// (Re)arms the timer to fire at absolute time `when`, replacing any
   /// pending deadline: the timer fires once, at the latest deadline set.
-  void arm(SimTime when);
+  void arm(SimTime when) { arm_keyed(when, EventQueue::kOrdinalBand); }
   /// Same, with an explicit canonical tiebreak key (see
-  /// EventQueue::schedule_keyed).
+  /// EventQueue::schedule_keyed); kOrdinalBand means push order.
   void arm_keyed(SimTime when, std::uint64_t key);
   /// Cancels the pending deadline, if any. The binding survives.
   void cancel();

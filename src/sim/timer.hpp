@@ -47,16 +47,10 @@ class Timer {
   /// (Re)arms the timer to fire `delay` from now, replacing any pending
   /// deadline. Negative delays clamp to 0 (fire "immediately", after
   /// currently-runnable events at now()).
-  void arm(SimTime delay) {
-    ensure_attached();
-    inner_.arm(sim_->now() + (delay > 0 ? delay : 0));
-  }
+  void arm(SimTime delay) { arm_at(sim_->now() + delay); }
 
   /// (Re)arms the timer at absolute time `when` (clamped to now()).
-  void arm_at(SimTime when) {
-    ensure_attached();
-    inner_.arm(when > sim_->now() ? when : sim_->now());
-  }
+  void arm_at(SimTime when) { arm_at_keyed(when, EventQueue::kOrdinalBand); }
 
   /// Same, with an explicit canonical tiebreak key (see
   /// EventQueue::schedule_keyed). The scenario engine arms its replay timer

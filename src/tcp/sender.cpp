@@ -7,6 +7,14 @@
 
 namespace mltcp::tcp {
 
+namespace {
+
+/// Cap on back-to-back packets released per send opportunity, bounding
+/// burstiness after a window jump.
+constexpr int kMaxBurst = 256;
+
+}  // namespace
+
 TcpSender::TcpSender(sim::Simulator& simulator, net::Host& local,
                      net::NodeId dst, net::FlowId flow,
                      std::unique_ptr<CongestionControl> cc, SenderConfig cfg)
@@ -57,7 +65,7 @@ void TcpSender::try_send() {
   // behavior.
   const double cc_rate = cc_->pacing_rate();
   if (!cfg_.pacing && cc_rate <= 0.0) {
-    int burst = cfg_.max_burst;
+    int burst = kMaxBurst;
     while (next_seq_ < send_limit_ && inflight() < usable_window() &&
            burst-- > 0) {
       // After an RTO rewind next_seq_ revisits already-sent segments; those

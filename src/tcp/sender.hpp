@@ -26,9 +26,6 @@ struct SenderConfig {
   /// When true, data packets carry their flow's remaining bytes as the
   /// pFabric priority.
   bool pfabric_priority = false;
-  /// Cap on back-to-back packets released per send opportunity, bounding
-  /// burstiness after a window jump.
-  int max_burst = 256;
   /// RFC 2861 congestion-window validation: when a new message starts after
   /// the connection has been idle for longer than the RTO, reset the window
   /// to its initial value (Linux's tcp_slow_start_after_idle, default on).

@@ -27,44 +27,29 @@ class TcpChannel final : public Channel {
 
 }  // namespace
 
-Cluster::Cluster(sim::Simulator& simulator, std::uint64_t seed)
-    : sim_(simulator), rng_(seed) {}
-
-void Cluster::set_backend(Backend* backend) {
-  assert(flows_.empty() && channels_.empty() &&
-         "install the backend before creating any channels");
-  backend_ = backend;
+Channel* PacketBackend::create_channel(const ChannelSpec& spec) {
+  flows_.push_back(std::make_unique<tcp::TcpFlow>(
+      sim_, *spec.src, *spec.dst, spec.id, spec.cc(), spec.sender,
+      spec.receiver));
+  channels_.push_back(std::make_unique<TcpChannel>(flows_.back().get()));
+  return channels_.back().get();
 }
 
-Channel* Cluster::make_packet_channel(const FlowSpec& fs,
-                                      const tcp::CcFactory& cc,
-                                      const tcp::SenderConfig& sender,
-                                      const tcp::ReceiverConfig& receiver) {
-  auto flow = std::make_unique<tcp::TcpFlow>(sim_, *fs.src, *fs.dst,
-                                             next_flow_id_++, cc(), sender,
-                                             receiver);
-  auto channel = std::make_unique<TcpChannel>(flow.get());
-  Channel* ptr = channel.get();
-  flows_.push_back(std::move(flow));
-  channels_.push_back(std::move(channel));
-  return ptr;
+Cluster::Cluster(sim::Simulator& simulator, std::uint64_t seed)
+    : sim_(simulator), rng_(seed), packet_(simulator) {}
+
+void Cluster::set_backend(Backend* backend) {
+  assert(next_flow_id_ == 1 &&
+         "install the backend before creating any channels");
+  backend_ = backend != nullptr ? backend : &packet_;
 }
 
 Channel* Cluster::add_channel(const FlowSpec& fs, const tcp::CcFactory& cc,
                               const tcp::SenderConfig& sender,
                               const tcp::ReceiverConfig& receiver) {
   assert(cc != nullptr && fs.src != nullptr && fs.dst != nullptr);
-  if (backend_ == nullptr) {
-    return make_packet_channel(fs, cc, sender, receiver);
-  }
-  ChannelSpec spec;
-  spec.src = fs.src;
-  spec.dst = fs.dst;
-  spec.id = next_flow_id_++;
-  spec.cc = cc;
-  spec.sender = sender;
-  spec.receiver = receiver;
-  return backend_->create_channel(spec);
+  return backend_->create_channel(
+      ChannelSpec{fs.src, fs.dst, next_flow_id_++, cc, sender, receiver});
 }
 
 Job* Cluster::add_job(const JobSpec& spec) {
@@ -97,15 +82,6 @@ Job* Cluster::add_job(const JobSpec& spec) {
   jobs_.push_back(std::move(job));
   flows_by_job_.push_back(std::move(raw_flows));
   return ptr;
-}
-
-tcp::TcpFlow* Cluster::add_flow(const FlowSpec& fs, const tcp::CcFactory& cc,
-                                const tcp::SenderConfig& sender,
-                                const tcp::ReceiverConfig& receiver) {
-  assert(backend_ == nullptr &&
-         "add_flow is packet-only; use add_channel on other backends");
-  Channel* channel = add_channel(fs, cc, sender, receiver);
-  return channel->tcp();
 }
 
 void Cluster::start_all() {

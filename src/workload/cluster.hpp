@@ -34,12 +34,26 @@ struct JobSpec {
   tcp::ReceiverConfig receiver;
 };
 
-/// Owns the communication channels and Job state machines of one
-/// experiment, allocating globally unique flow ids. The topology outlives
-/// the cluster. By default channels are real TCP connections (the packet
-/// backend); set_backend() reroutes every subsequently created channel
-/// through an alternative simulation backend (src/flowsim) while the
-/// workload state machines stay unchanged.
+/// The packet path: one TcpFlow per channel, owned here with its Channel
+/// wrapper. Cluster's default backend.
+class PacketBackend final : public Backend {
+ public:
+  explicit PacketBackend(sim::Simulator& simulator) : sim_(simulator) {}
+
+  Channel* create_channel(const ChannelSpec& spec) override;
+  const char* name() const override { return "packet"; }
+
+ private:
+  sim::Simulator& sim_;
+  std::vector<std::unique_ptr<tcp::TcpFlow>> flows_;
+  std::vector<std::unique_ptr<Channel>> channels_;
+};
+
+/// Owns the Job state machines of one experiment and allocates globally
+/// unique flow ids for their channels. The topology outlives the cluster.
+/// Channels come from the cluster's own PacketBackend unless set_backend()
+/// installs another simulation backend (src/flowsim); the workload state
+/// machines are the same either way.
 class Cluster {
  public:
   Cluster(sim::Simulator& simulator, std::uint64_t seed = 1);
@@ -51,12 +65,6 @@ class Cluster {
   /// packet backend). Call before any channels exist: mixing backends
   /// within one run is not a supported configuration.
   void set_backend(Backend* backend);
-  /// The installed backend, or nullptr when running packet-level.
-  Backend* backend() const { return backend_; }
-  /// "packet" or the installed backend's name, for reports and CSVs.
-  const char* backend_name() const {
-    return backend_ != nullptr ? backend_->name() : "packet";
-  }
 
   /// Creates channels and the job state machine. The job is not started.
   /// Safe mid-run: scenario-driven job arrivals call this after start_all()
@@ -66,17 +74,10 @@ class Cluster {
   /// Creates a standalone channel (no job state machine) with a
   /// cluster-unique flow id on the active backend. Traffic sources and
   /// scenario-driven background/legacy traffic post messages on it
-  /// directly; the channel lives as long as the cluster (packet) or the
-  /// backend (others).
+  /// directly; the channel lives as long as its backend.
   Channel* add_channel(const FlowSpec& fs, const tcp::CcFactory& cc,
                        const tcp::SenderConfig& sender = {},
                        const tcp::ReceiverConfig& receiver = {});
-
-  /// Packet-only convenience: add_channel + unwrap to the TCP connection.
-  /// Asserts when a non-packet backend is installed.
-  tcp::TcpFlow* add_flow(const FlowSpec& fs, const tcp::CcFactory& cc,
-                         const tcp::SenderConfig& sender = {},
-                         const tcp::ReceiverConfig& receiver = {});
 
   /// Starts every job added so far.
   void start_all();
@@ -97,18 +98,11 @@ class Cluster {
   }
 
  private:
-  /// Built-in packet path: creates the TcpFlow and its Channel wrapper,
-  /// both cluster-owned.
-  Channel* make_packet_channel(const FlowSpec& fs, const tcp::CcFactory& cc,
-                               const tcp::SenderConfig& sender,
-                               const tcp::ReceiverConfig& receiver);
-
   sim::Simulator& sim_;
   sim::Rng rng_;
   net::FlowId next_flow_id_ = 1;
-  Backend* backend_ = nullptr;  ///< Non-owning; nullptr = packet.
-  std::vector<std::unique_ptr<tcp::TcpFlow>> flows_;
-  std::vector<std::unique_ptr<Channel>> channels_;  ///< Packet wrappers.
+  PacketBackend packet_;
+  Backend* backend_ = &packet_;  ///< Non-owning unless it is packet_.
   std::vector<std::vector<tcp::TcpFlow*>> flows_by_job_;
   std::vector<std::unique_ptr<Job>> jobs_;
 };

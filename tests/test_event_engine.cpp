@@ -1,10 +1,11 @@
 // Event-engine regression tests: generation-tagged id exactness across slot
 // reuse, bounded memory under cancel/rearm storms, reusable-timer semantics,
-// and a randomized differential check of pop ordering against a reference
-// priority structure.
+// the (when, key) order of canonically keyed events, and a randomized
+// differential check of pop ordering against a reference priority structure.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -176,6 +177,88 @@ TEST(Timer, CallbackMayRearmItself) {
   t.arm(5);
   s.run();
   EXPECT_EQ(fires, (std::vector<sim::SimTime>{5, 15, 25}));
+}
+
+// ------------------------------------------------------- (when, key) order
+
+TEST(EventEngineKeys, KeyedEventsAtOneInstantRunInKeyOrder) {
+  sim::EventQueue q;
+  std::vector<std::uint64_t> order;
+  for (const std::uint64_t key : {7u, 2u, 9u, 0u, 5u}) {
+    q.schedule_keyed(100, key, [&order, key] { order.push_back(key); });
+  }
+  while (!q.empty()) EXPECT_EQ(q.pop_and_run(), 100);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 2, 5, 7, 9}));
+}
+
+TEST(EventEngineKeys, KeyedEventsRunBeforeOrdinaryEventsAtTheirInstant) {
+  sim::EventQueue q;
+  std::vector<int> order;
+  const auto mark = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  q.schedule(100, mark(3));
+  q.schedule_keyed(100, sim::EventQueue::kOrdinalBand - 1, mark(2));
+  q.schedule(100, mark(4));
+  q.schedule_keyed(100, 1, mark(1));
+  q.schedule(50, mark(0));  // an earlier instant still runs first
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventEngineKeys, BarrierTimerFiresBeforeAnEarlierScheduledDelivery) {
+  sim::Simulator s;
+  std::vector<int> order;
+  // A link delivery's canonical key: (link rank + 1) << 40 | FIFO ordinal.
+  s.schedule_keyed(100, (std::uint64_t{3} << 40) | 17,
+                   [&order] { order.push_back(1); });
+  sim::Timer barrier(s, [&order] { order.push_back(0); });
+  barrier.arm_at_keyed(100, sim::EventQueue::kBarrierKey);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(EventEngineKeys, RearmWithoutAKeyReturnsATimerToFifoOrder) {
+  sim::Simulator s;
+  std::vector<int> order;
+  sim::Timer t(s, [&order] { order.push_back(0); });
+  t.arm_at_keyed(100, sim::EventQueue::kBarrierKey);
+  s.schedule_at(100, [&order] { order.push_back(1); });
+  t.arm_at(100);  // replaces the keyed deadline: now behind the one-shot
+  s.schedule_at(100, [&order] { order.push_back(2); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(EventEngineKeys, PopBeforeKeyStopsExactlyAtTheBound) {
+  sim::EventQueue q;
+  std::vector<int> order;
+  const auto mark = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  q.schedule_keyed(99, 9, mark(0));
+  q.schedule_keyed(100, 4, mark(1));
+  q.schedule_keyed(100, 5, mark(2));
+  q.schedule_keyed(100, 6, mark(3));
+  q.schedule(100, mark(4));
+
+  sim::SimTime clock = 0;
+  while (q.pop_and_run_before_key(100, 5, &clock)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));  // (100, 5) itself stays
+  EXPECT_EQ(clock, 100);
+  EXPECT_EQ(q.size(), 3u);
+
+  EXPECT_TRUE(q.pop_and_run_before_key(100, 6, &clock));
+  EXPECT_FALSE(q.pop_and_run_before_key(100, 6, &clock));
+  // Every canonical key sorts below the band; every ordinary event above.
+  EXPECT_TRUE(q.pop_and_run_before_key(100, sim::EventQueue::kOrdinalBand,
+                                       &clock));
+  EXPECT_FALSE(q.pop_and_run_before_key(100, sim::EventQueue::kOrdinalBand,
+                                        &clock));
+  EXPECT_TRUE(q.pop_and_run_before_key(101, 0, &clock));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 // -------------------------------------------- telemetry trace equivalence

@@ -1,4 +1,4 @@
-// Tests for the campaign runner: work-stealing pool execution guarantees,
+// Tests for the campaign runner: task pool execution guarantees,
 // spec-order result aggregation, deterministic (byte-identical) CSV/JSON
 // sinks under any thread count, and the env-var plumbing. The end-to-end
 // test runs a 32-spec campaign of real packet-level simulations serially
@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -25,13 +26,13 @@
 namespace mltcp::runner {
 namespace {
 
-// -------------------------------------------------------- WorkStealingPool
+// ---------------------------------------------------------------- TaskPool
 
-TEST(WorkStealingPool, RunsEveryIndexExactlyOnce) {
+TEST(TaskPool, RunsEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 4, 8}) {
     constexpr std::size_t kCount = 100;
     std::vector<std::atomic<int>> hits(kCount);
-    WorkStealingPool pool(threads);
+    TaskPool pool(threads);
     pool.run(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kCount; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
@@ -39,30 +40,41 @@ TEST(WorkStealingPool, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(WorkStealingPool, FewerTasksThanThreads) {
+TEST(TaskPool, OneThreadRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  TaskPool pool(1);
+  pool.run(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(TaskPool, FewerTasksThanThreads) {
   std::vector<std::atomic<int>> hits(3);
-  WorkStealingPool pool(8);
+  TaskPool pool(8);
   pool.run(3, [&](std::size_t i) { hits[i].fetch_add(1); });
   EXPECT_EQ(hits[0].load(), 1);
   EXPECT_EQ(hits[1].load(), 1);
   EXPECT_EQ(hits[2].load(), 1);
 }
 
-TEST(WorkStealingPool, ZeroTasksIsANoop) {
-  WorkStealingPool pool(4);
+TEST(TaskPool, ZeroTasksIsANoop) {
+  TaskPool pool(4);
   pool.run(0, [](std::size_t) { FAIL() << "no task should run"; });
 }
 
-TEST(WorkStealingPool, NonPositiveThreadCountPicksHardwareConcurrency) {
-  WorkStealingPool pool(0);
+TEST(TaskPool, NonPositiveThreadCountPicksHardwareConcurrency) {
+  TaskPool pool(0);
   EXPECT_GE(pool.thread_count(), 1);
 }
 
-TEST(WorkStealingPool, ExceptionPropagatesAndOtherTasksStillRun) {
+TEST(TaskPool, ExceptionPropagatesAndOtherTasksStillRun) {
   for (const int threads : {1, 4}) {
     constexpr std::size_t kCount = 20;
     std::vector<std::atomic<int>> hits(kCount);
-    WorkStealingPool pool(threads);
+    TaskPool pool(threads);
     EXPECT_THROW(
         pool.run(kCount,
                  [&](std::size_t i) {
@@ -101,6 +113,12 @@ TEST(Campaign, OptionsFromEnvReadsMltcpThreads) {
   EXPECT_EQ(options_from_env().threads, 3);
   ::setenv("MLTCP_THREADS", "0", 1);
   EXPECT_EQ(options_from_env().threads, 0);
+  // Garbage fails loudly instead of reading as "all cores".
+  for (const std::string garbage : {"abc", "-1", "4x", ""}) {
+    ::setenv("MLTCP_THREADS", garbage.c_str(), 1);
+    EXPECT_EXIT(options_from_env(), ::testing::ExitedWithCode(2),
+                "MLTCP_THREADS wants an integer >= 0, got '" + garbage + "'");
+  }
   ::unsetenv("MLTCP_THREADS");
   EXPECT_EQ(options_from_env().threads, 0);
 }

@@ -201,6 +201,33 @@ TEST(Cluster, TracksJobsAndFlows) {
   EXPECT_EQ(rig.cluster->flows_of(0).size(), 2u);
 }
 
+TEST(Cluster, ChannelsComeFromThePacketBackendByDefault) {
+  // Installed, then replaced by nullptr: it must never open a channel.
+  struct UnusedBackend final : Backend {
+    Channel* create_channel(const ChannelSpec&) override {
+      ADD_FAILURE() << "set_backend(nullptr) did not restore the packet path";
+      return nullptr;
+    }
+    const char* name() const override { return "unused"; }
+  };
+  for (const bool restored : {false, true}) {
+    Rig rig;
+    UnusedBackend unused;
+    if (restored) {
+      rig.cluster->set_backend(&unused);
+      rig.cluster->set_backend(nullptr);
+    }
+    Channel* a = rig.cluster->add_channel(
+        FlowSpec{rig.d.left[0], rig.d.right[0], 0}, core::reno_factory());
+    Channel* b = rig.cluster->add_channel(
+        FlowSpec{rig.d.left[1], rig.d.right[1], 0}, core::reno_factory());
+    ASSERT_NE(a->tcp(), nullptr);
+    ASSERT_NE(b->tcp(), nullptr);
+    EXPECT_EQ(a->tcp()->id(), a->id());
+    EXPECT_EQ(b->id(), a->id() + 1);
+  }
+}
+
 // ---------------------------------------------------------------- profiles
 
 TEST(Profiles, TimingDecomposition) {
