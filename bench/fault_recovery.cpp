@@ -7,14 +7,14 @@
 //
 //   baseline  — empty scenario (the engine schedules nothing at all).
 //   flap      — the bottleneck cable is cut for 150 ms (both directions
-//               down, incremental route repair, capped-RTO probing brings
-//               the flows back after the heal).
+//               down, routes rebuilt at the cut and the heal, capped-RTO
+//               probing brings the flows back after the heal).
 //   churn     — the same flap, plus a third GPT-2 job arriving mid-run on a
 //               fresh host pair and a 2 MB legacy background burst.
 //
-// Acceptance (ISSUE 5): after the fault clears, both original jobs'
-// converged tail iteration times must be within 5% of the baseline
-// variant's tails — the random walk finds the interleaved schedule again.
+// Acceptance: after the fault clears, both original jobs' converged tail
+// iteration times must be within 5% of the baseline variant's tails — the
+// random walk finds the interleaved schedule again.
 
 #include <cmath>
 #include <cstdio>

@@ -135,8 +135,9 @@ BENCHMARK(BM_IterationTrackerOnAck);
 
 // pFabric steady state at a held backlog: every iteration admits one packet
 // into a full queue (forcing the eviction rule) and dequeues the best one.
-// Cost must stay logarithmic in the backlog — the min-max heap's point over
-// the ordered-container rebuild, which went linear under overload.
+// The sorted vector's insert and dequeue are linear in the backlog; the
+// deepest pFabric queue any program builds holds 36 packets, near the
+// bottom of this range.
 void BM_PfabricAdmissionDequeue(benchmark::State& state) {
   const std::int64_t depth = state.range(0);
   net::PfabricPriorityQueue q(depth * 1500);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/tracer.hpp"
 
@@ -9,17 +10,13 @@ namespace mltcp::net {
 
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mix of the flow id, so consecutive
-/// ids (the workload assigns them sequentially) spread evenly across an
-/// ECMP set. Pure function of the id — deterministic across runs, machines
-/// and thread counts.
+/// One splitmix64 step from the flow id: a full-avalanche mix, so
+/// consecutive ids (the workload assigns them sequentially) spread evenly
+/// across an ECMP set. Pure function of the id — deterministic across runs,
+/// machines and thread counts.
 std::uint32_t ecmp_hash(FlowId flow) {
-  std::uint64_t z =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(flow)) +
-      0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::uint32_t>(z ^ (z >> 31));
+  std::uint64_t state = static_cast<std::uint32_t>(flow);
+  return static_cast<std::uint32_t>(sim::splitmix64(state));
 }
 
 }  // namespace
@@ -60,23 +57,6 @@ void Switch::set_routes(NodeId dst, const std::vector<Link*>& egresses) {
 void Switch::clear_routes(std::size_t n_nodes) {
   routes_.assign(n_nodes, RouteEntry{});
   pool_.clear();
-}
-
-void Switch::clear_route(NodeId dst) {
-  const auto idx = static_cast<std::size_t>(dst);
-  if (idx < routes_.size()) routes_[idx] = RouteEntry{};
-}
-
-void Switch::routes_using(const Link* link, std::vector<NodeId>& out) const {
-  for (std::size_t dst = 0; dst < routes_.size(); ++dst) {
-    const RouteEntry e = routes_[dst];
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      if (pool_[e.base + i] == link) {
-        out.push_back(static_cast<NodeId>(dst));
-        break;
-      }
-    }
-  }
 }
 
 Link* Switch::route(NodeId dst) const {

@@ -63,18 +63,6 @@ class Switch : public Node {
   /// Called by Topology::build_routes() before repopulating.
   void clear_routes(std::size_t n_nodes);
 
-  /// Drops only the route(s) towards `dst`. The abandoned pool span stays
-  /// allocated until the next full build_routes() — bounded growth per
-  /// incremental repair, reclaimed wholesale (see set_routes).
-  void clear_route(NodeId dst);
-
-  /// Appends to `out` every destination whose installed egress set contains
-  /// `link`. Linear scan of the route table — the incremental route repair
-  /// in Topology::set_link_state runs it once per switch per fault, which
-  /// beats maintaining an inverted link->destinations index on the hot
-  /// forwarding structures.
-  void routes_using(const Link* link, std::vector<NodeId>& out) const;
-
   /// Primary (first) egress towards `dst`, or nullptr when unreachable.
   Link* route(NodeId dst) const;
   /// The egress the ECMP hash selects for `flow`, or nullptr.

@@ -1,7 +1,6 @@
 #include "net/queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -48,62 +47,17 @@ void QueueDiscipline::trace_mark(const Packet& pkt, sim::SimTime now) {
   }
 }
 
-// ---------------------------------------------------------------- DropTail
+// -------------------------------------------------------------------- FIFO
 
-DropTailQueue::DropTailQueue(std::int64_t capacity_bytes)
-    : capacity_(capacity_bytes) {
-  assert(capacity_bytes > 0);
-}
-
-bool DropTailQueue::enqueue(const Packet& pkt, sim::SimTime now) {
-  if (backlog_ + pkt.size_bytes > capacity_) {
-    ++stats_.dropped_packets;
-    trace_drop(pkt, now);
-    return false;
-  }
-  backlog_ += pkt.size_bytes;
-  q_.push_back(pkt);
-  ++stats_.enqueued_packets;
-  note_backlog(stats_, backlog_);
-  return true;
-}
-
-std::optional<Packet> DropTailQueue::dequeue(sim::SimTime /*now*/) {
-  if (q_.empty()) return std::nullopt;
-  Packet pkt = q_.front();
-  q_.pop_front();
-  backlog_ -= pkt.size_bytes;
-  return pkt;
-}
-
-std::optional<Packet> DropTailQueue::enqueue_dequeue(const Packet& pkt,
-                                                     sim::SimTime now) {
-  if (!q_.empty()) {
-    if (!enqueue(pkt, now)) return std::nullopt;
-    return dequeue(now);
-  }
-  // Empty queue (backlog 0): admission reduces to a size check and the
-  // dequeued packet is the arrival itself — skip the ring round-trip.
-  if (pkt.size_bytes > capacity_) {
-    ++stats_.dropped_packets;
-    trace_drop(pkt, now);
-    return std::nullopt;
-  }
-  ++stats_.enqueued_packets;
-  note_backlog(stats_, pkt.size_bytes);
-  return pkt;
-}
-
-// ------------------------------------------------------------ EcnThreshold
-
-EcnThresholdQueue::EcnThresholdQueue(std::int64_t capacity_bytes,
-                                     std::int64_t mark_threshold_bytes)
+FifoQueue::FifoQueue(std::int64_t capacity_bytes,
+                     std::int64_t mark_threshold_bytes)
     : capacity_(capacity_bytes), mark_threshold_(mark_threshold_bytes) {
   assert(capacity_bytes > 0);
-  assert(mark_threshold_bytes > 0 && mark_threshold_bytes <= capacity_bytes);
+  assert(mark_threshold_bytes == kNeverMark ||
+         (mark_threshold_bytes > 0 && mark_threshold_bytes <= capacity_bytes));
 }
 
-bool EcnThresholdQueue::enqueue(const Packet& pkt, sim::SimTime now) {
+bool FifoQueue::enqueue(const Packet& pkt, sim::SimTime now) {
   if (backlog_ + pkt.size_bytes > capacity_) {
     ++stats_.dropped_packets;
     trace_drop(pkt, now);
@@ -122,7 +76,7 @@ bool EcnThresholdQueue::enqueue(const Packet& pkt, sim::SimTime now) {
   return true;
 }
 
-std::optional<Packet> EcnThresholdQueue::dequeue(sim::SimTime /*now*/) {
+std::optional<Packet> FifoQueue::dequeue(sim::SimTime /*now*/) {
   if (q_.empty()) return std::nullopt;
   Packet pkt = q_.front();
   q_.pop_front();
@@ -130,14 +84,15 @@ std::optional<Packet> EcnThresholdQueue::dequeue(sim::SimTime /*now*/) {
   return pkt;
 }
 
-std::optional<Packet> EcnThresholdQueue::enqueue_dequeue(const Packet& pkt,
-                                                         sim::SimTime now) {
+std::optional<Packet> FifoQueue::enqueue_dequeue(const Packet& pkt,
+                                                 sim::SimTime now) {
   if (!q_.empty()) {
     if (!enqueue(pkt, now)) return std::nullopt;
     return dequeue(now);
   }
-  // Empty queue: backlog 0 is always below the (positive) mark threshold,
-  // so no CE mark; admission reduces to a size check.
+  // Empty queue: backlog 0 is below any (positive) mark threshold, so no CE
+  // mark; admission reduces to a size check and the dequeued packet is the
+  // arrival itself — skip the ring round-trip.
   if (pkt.size_bytes > capacity_) {
     ++stats_.dropped_packets;
     trace_drop(pkt, now);
@@ -149,119 +104,17 @@ std::optional<Packet> EcnThresholdQueue::enqueue_dequeue(const Packet& pkt,
 }
 
 // --------------------------------------------------------- PfabricPriority
-//
-// Min-max heap layout (0-based array): even levels (root = level 0) are min
-// levels, odd levels max levels. A min-level node is <= all its descendants,
-// a max-level node >= all its descendants, so the minimum sits at index 0
-// and the maximum at index 1 or 2.
-
-namespace {
-/// Level parity of index i: true on min (even) levels. Level of i is
-/// floor(log2(i + 1)); bit_width(i + 1) is level + 1.
-bool on_min_level(std::size_t i) {
-  return (std::bit_width(i + 1) & 1u) != 0;
-}
-}  // namespace
 
 PfabricPriorityQueue::PfabricPriorityQueue(std::int64_t capacity_bytes)
     : capacity_(capacity_bytes) {
   assert(capacity_bytes > 0);
 }
 
-template <bool kMin>
-void PfabricPriorityQueue::bubble_up(std::size_t i) {
-  while (i > 2) {  // Grandparent exists iff i >= 3.
-    const std::size_t gp = ((i - 1) / 2 - 1) / 2;
-    const bool better = kMin ? key_less(heap_[i], heap_[gp])
-                             : key_less(heap_[gp], heap_[i]);
-    if (!better) break;
-    std::swap(heap_[i], heap_[gp]);
-    i = gp;
-  }
-}
-
-template <bool kMin>
-void PfabricPriorityQueue::trickle_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  auto better = [this](std::size_t a, std::size_t b) {
-    return kMin ? key_less(heap_[a], heap_[b]) : key_less(heap_[b], heap_[a]);
-  };
-  while (2 * i + 1 < n) {
-    // The extreme among children and grandchildren of i.
-    std::size_t m = 2 * i + 1;
-    const std::size_t candidates[] = {2 * i + 2, 4 * i + 3, 4 * i + 4,
-                                      4 * i + 5, 4 * i + 6};
-    for (const std::size_t c : candidates) {
-      if (c < n && better(c, m)) m = c;
-    }
-    if (m > 2 * i + 2) {  // Grandchild: may need one more level of repair.
-      if (!better(m, i)) return;
-      std::swap(heap_[m], heap_[i]);
-      const std::size_t parent = (m - 1) / 2;
-      // The displaced element may violate the opposite-parity parent.
-      const bool wrong = kMin ? key_less(heap_[parent], heap_[m])
-                              : key_less(heap_[m], heap_[parent]);
-      if (wrong) std::swap(heap_[m], heap_[parent]);
-      i = m;
-    } else {  // Direct child: a single swap finishes the repair.
-      if (better(m, i)) std::swap(heap_[m], heap_[i]);
-      return;
-    }
-  }
-}
-
-void PfabricPriorityQueue::push_key(Key k) {
-  heap_.push_back(k);
-  const std::size_t i = heap_.size() - 1;
-  if (i == 0) return;
-  const std::size_t parent = (i - 1) / 2;
-  if (on_min_level(i)) {
-    if (key_less(heap_[parent], heap_[i])) {
-      std::swap(heap_[i], heap_[parent]);
-      bubble_up<false>(parent);
-    } else {
-      bubble_up<true>(i);
-    }
-  } else {
-    if (key_less(heap_[i], heap_[parent])) {
-      std::swap(heap_[i], heap_[parent]);
-      bubble_up<true>(parent);
-    } else {
-      bubble_up<false>(i);
-    }
-  }
-}
-
-std::size_t PfabricPriorityQueue::max_index() const {
-  if (heap_.size() <= 2) return heap_.size() - 1;
-  return key_less(heap_[1], heap_[2]) ? 2 : 1;
-}
-
-PfabricPriorityQueue::Key PfabricPriorityQueue::take_at(std::size_t i) {
-  const Key out = heap_[i];
-  const Key last = heap_.back();
-  heap_.pop_back();
-  if (i < heap_.size()) {
-    heap_[i] = last;
-    // For the two removal sites (min at 0, max at 1/2) the replacement can
-    // only violate invariants downward: the root has no parent, and a
-    // max-level node at 1/2 is bounded below by the root, which is <= every
-    // element by definition. So a trickle-down fully restores the heap.
-    if (on_min_level(i)) {
-      trickle_down<true>(i);
-    } else {
-      trickle_down<false>(i);
-    }
-  }
-  return out;
-}
-
 bool PfabricPriorityQueue::enqueue(const Packet& pkt, sim::SimTime now) {
-  while (backlog_ + pkt.size_bytes > capacity_ && !heap_.empty()) {
+  while (backlog_ + pkt.size_bytes > capacity_ && !q_.empty()) {
     // Evict the lowest-priority resident (largest remaining bytes) — but only
     // if the arrival beats it; otherwise drop the arrival.
-    const std::size_t wi = max_index();
-    const Packet& worst = store_[heap_[wi].slot];
+    const Packet& worst = q_.back();
     if (worst.priority <= pkt.priority) {
       ++stats_.dropped_packets;
       trace_drop(pkt, now);
@@ -270,53 +123,30 @@ bool PfabricPriorityQueue::enqueue(const Packet& pkt, sim::SimTime now) {
     backlog_ -= worst.size_bytes;
     ++stats_.dropped_packets;
     trace_drop(worst, now);
-    free_slots_.push_back(heap_[wi].slot);
-    take_at(wi);
+    q_.pop_back();
   }
   if (backlog_ + pkt.size_bytes > capacity_) {
     ++stats_.dropped_packets;
     trace_drop(pkt, now);
     return false;
   }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(store_.size());
-    store_.emplace_back();
-  }
-  store_[slot] = pkt;
+  const auto after_equals = std::upper_bound(
+      q_.begin(), q_.end(), pkt.priority,
+      [](std::int64_t priority, const Packet& resident) {
+        return priority < resident.priority;
+      });
+  q_.insert(after_equals, pkt);
   backlog_ += pkt.size_bytes;
-  push_key(Key{pkt.priority, arrivals_++, slot});
   ++stats_.enqueued_packets;
   note_backlog(stats_, backlog_);
   return true;
 }
 
 std::optional<Packet> PfabricPriorityQueue::dequeue(sim::SimTime /*now*/) {
-  if (heap_.empty()) return std::nullopt;
-  const Key best = take_at(0);
-  const Packet pkt = store_[best.slot];
-  free_slots_.push_back(best.slot);
+  if (q_.empty()) return std::nullopt;
+  const Packet pkt = q_.front();
+  q_.erase(q_.begin());
   backlog_ -= pkt.size_bytes;
-  return pkt;
-}
-
-std::optional<Packet> PfabricPriorityQueue::enqueue_dequeue(
-    const Packet& pkt, sim::SimTime now) {
-  if (!heap_.empty()) {
-    if (!enqueue(pkt, now)) return std::nullopt;
-    return dequeue(now);
-  }
-  if (pkt.size_bytes > capacity_) {
-    ++stats_.dropped_packets;
-    trace_drop(pkt, now);
-    return std::nullopt;
-  }
-  ++arrivals_;  // The insert would have consumed one arrival number.
-  ++stats_.enqueued_packets;
-  note_backlog(stats_, pkt.size_bytes);
   return pkt;
 }
 
@@ -388,15 +218,6 @@ RedQueue::RedQueue(Config cfg) : cfg_(cfg), rng_state_(cfg.seed | 1) {
   assert(cfg_.max_threshold_bytes <= cfg_.capacity_bytes);
 }
 
-double RedQueue::next_uniform() {
-  rng_state_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = rng_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
 bool RedQueue::enqueue(const Packet& pkt, sim::SimTime now) {
   // Arrival after an idle period: the EWMA only updates on arrivals, so
   // without decay a stale high average from the last burst keeps
@@ -422,7 +243,8 @@ bool RedQueue::enqueue(const Packet& pkt, sim::SimTime now) {
         (avg_ - static_cast<double>(cfg_.min_threshold_bytes)) /
         static_cast<double>(cfg_.max_threshold_bytes -
                             cfg_.min_threshold_bytes);
-    early_action = next_uniform() < fraction * cfg_.max_probability;
+    early_action =
+        sim::splitmix64_uniform(rng_state_) < fraction * cfg_.max_probability;
   }
 
   bool mark = false;
@@ -512,14 +334,15 @@ void RandomDropQueue::set_drop_probability(double p) {
 // ----------------------------------------------------------------- factories
 
 QueueFactory make_droptail_factory(std::int64_t capacity_bytes) {
-  return [capacity_bytes] { return std::make_unique<DropTailQueue>(capacity_bytes); };
+  return [capacity_bytes] {
+    return std::make_unique<FifoQueue>(capacity_bytes);
+  };
 }
 
 QueueFactory make_ecn_factory(std::int64_t capacity_bytes,
                               std::int64_t mark_threshold_bytes) {
   return [=] {
-    return std::make_unique<EcnThresholdQueue>(capacity_bytes,
-                                               mark_threshold_bytes);
+    return std::make_unique<FifoQueue>(capacity_bytes, mark_threshold_bytes);
   };
 }
 
@@ -545,7 +368,7 @@ QueueFactory make_random_drop_factory(double drop_probability,
                                       std::uint64_t seed) {
   return [=] {
     return std::make_unique<RandomDropQueue>(
-        std::make_unique<DropTailQueue>(capacity_bytes), drop_probability,
+        std::make_unique<FifoQueue>(capacity_bytes), drop_probability,
         seed);
   };
 }

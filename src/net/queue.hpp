@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -114,10 +115,18 @@ class PacketRing {
   std::uint64_t tail_ = 0;
 };
 
-/// FIFO with a byte-capacity bound; arrivals beyond capacity are dropped.
-class DropTailQueue : public QueueDiscipline {
+/// FIFO with a byte-capacity bound: arrivals beyond capacity are dropped
+/// (drop-tail). Given a `mark_threshold_bytes`, it is also the DCTCP-style
+/// ECN queue: an ECN-capable arrival is CE-marked when the instantaneous
+/// backlog it sees on enqueue is at or above the threshold. The default
+/// threshold never marks.
+class FifoQueue : public QueueDiscipline {
  public:
-  explicit DropTailQueue(std::int64_t capacity_bytes);
+  static constexpr std::int64_t kNeverMark =
+      std::numeric_limits<std::int64_t>::max();
+
+  explicit FifoQueue(std::int64_t capacity_bytes,
+                     std::int64_t mark_threshold_bytes = kNeverMark);
 
   bool enqueue(const Packet& pkt, sim::SimTime now) override;
   std::optional<Packet> dequeue(sim::SimTime now) override;
@@ -126,32 +135,6 @@ class DropTailQueue : public QueueDiscipline {
   bool empty() const override { return q_.empty(); }
   std::int64_t backlog_bytes() const override { return backlog_; }
   std::size_t backlog_packets() const override { return q_.size(); }
-
-  std::int64_t capacity_bytes() const { return capacity_; }
-
- private:
-  std::int64_t capacity_;
-  std::int64_t backlog_ = 0;
-  PacketRing q_;
-};
-
-/// DCTCP-style queue: drop-tail admission plus ECN CE marking of ECN-capable
-/// packets when the instantaneous backlog is at or above `mark_threshold`
-/// at enqueue time.
-class EcnThresholdQueue : public QueueDiscipline {
- public:
-  EcnThresholdQueue(std::int64_t capacity_bytes,
-                    std::int64_t mark_threshold_bytes);
-
-  bool enqueue(const Packet& pkt, sim::SimTime now) override;
-  std::optional<Packet> dequeue(sim::SimTime now) override;
-  std::optional<Packet> enqueue_dequeue(const Packet& pkt,
-                                        sim::SimTime now) override;
-  bool empty() const override { return q_.empty(); }
-  std::int64_t backlog_bytes() const override { return backlog_; }
-  std::size_t backlog_packets() const override { return q_.size(); }
-
-  std::int64_t mark_threshold_bytes() const { return mark_threshold_; }
 
  private:
   std::int64_t capacity_;
@@ -161,56 +144,29 @@ class EcnThresholdQueue : public QueueDiscipline {
 };
 
 /// pFabric priority queue: dequeues the packet with the smallest priority
-/// value (fewest remaining bytes). When full, admits a higher-priority
-/// arrival by evicting the lowest-priority resident packet.
+/// value (fewest remaining bytes), FIFO within a priority. When full, admits
+/// a higher-priority arrival by evicting the lowest-priority resident, the
+/// latest arrival among equals.
 ///
-/// Backed by a min-max heap (Atkinson et al., CACM 1986) of 24-byte keys
-/// over a slot-stable packet store: dequeue pops the min, eviction pops the
-/// max, both O(log n) — admission under overload no longer pays a full
-/// ordered-container rebalance per evicted packet, and deep backlogs stay
-/// cheap. The key order (priority, arrival_seq) and the eviction rule are
-/// identical to the original multiset implementation, so drop decisions and
-/// dequeue order are byte-for-byte unchanged.
+/// A vector kept sorted by priority, each arrival inserted after the
+/// residents of equal priority: front() is the next packet to dequeue and
+/// back() the eviction victim. Insert and dequeue are linear in the
+/// backlog, which suits pFabric's shallow buffers: fig2 and datacenter_mix
+/// size theirs at 36 packets.
 class PfabricPriorityQueue : public QueueDiscipline {
  public:
   explicit PfabricPriorityQueue(std::int64_t capacity_bytes);
 
   bool enqueue(const Packet& pkt, sim::SimTime now) override;
   std::optional<Packet> dequeue(sim::SimTime now) override;
-  std::optional<Packet> enqueue_dequeue(const Packet& pkt,
-                                        sim::SimTime now) override;
-  bool empty() const override { return heap_.empty(); }
+  bool empty() const override { return q_.empty(); }
   std::int64_t backlog_bytes() const override { return backlog_; }
-  std::size_t backlog_packets() const override { return heap_.size(); }
+  std::size_t backlog_packets() const override { return q_.size(); }
 
  private:
-  /// Total order (priority, seq): seq is the arrival number, the FIFO
-  /// tiebreak within a priority level. `slot` indexes store_.
-  struct Key {
-    std::int64_t priority;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  static bool key_less(const Key& a, const Key& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.seq < b.seq;
-  }
-
-  std::size_t max_index() const;
-  void push_key(Key k);
-  /// Removes heap_[i] (i must be 0 or max_index()) and restores the heap.
-  Key take_at(std::size_t i);
-  template <bool kMin>
-  void bubble_up(std::size_t i);
-  template <bool kMin>
-  void trickle_down(std::size_t i);
-
   std::int64_t capacity_;
   std::int64_t backlog_ = 0;
-  std::uint64_t arrivals_ = 0;
-  std::vector<Key> heap_;      ///< Min-max heap on (priority, seq).
-  std::vector<Packet> store_;  ///< Slot-stable packet storage.
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Packet> q_;  ///< Ascending priority, arrival order within one.
 };
 
 /// Deficit round robin (Shreedhar & Varghese): per-flow FIFOs served in a
@@ -273,8 +229,6 @@ class RedQueue : public QueueDiscipline {
   double average_queue_bytes() const { return avg_; }
 
  private:
-  double next_uniform();
-
   Config cfg_;
   std::int64_t backlog_ = 0;
   double avg_ = 0.0;

@@ -81,18 +81,13 @@ void Topology::build_routes() {
 void Topology::rebuild_destination(NodeId d, std::vector<std::int32_t>& dist,
                                    std::vector<NodeId>& frontier,
                                    std::vector<Link*>& ecmp) {
-  // Stale routes towards d must go first: a repair after a fault may find
-  // fewer (or no) paths, and a leftover span would keep forwarding into the
-  // dead link.
-  for (Switch* sw : switches_) sw->clear_route(d);
-
   // One BFS over the reverse graph (links are paired, so adjacency doubles
   // as reverse adjacency). dist[v] is v's hop count to the destination; a
   // switch's equal-cost next hops are its neighbours one hop closer. Hosts
   // do not forward transit traffic, so only the destination itself and
-  // switches are expanded. Down links do not carry distance — checked on
-  // the forward member of the pair during discovery (exact under
-  // set_link_pair_state; see that header comment for the asymmetric case).
+  // switches are expanded. Down links do not carry distance; links go down
+  // in pairs (set_link_pair_state), so the member checked here has the same
+  // state as the one the traffic would use.
   dist.assign(nodes_.size(), -1);
   frontier.clear();
   dist[static_cast<std::size_t>(d)] = 0;
@@ -120,8 +115,7 @@ void Topology::rebuild_destination(NodeId d, std::vector<std::int32_t>& dist,
       // A valid next hop is one hop closer, reachable over an up link and
       // able to deliver: the destination itself or a forwarding switch.
       // Adjacency (connect) order fixes the candidate order — seed-stable
-      // ECMP. Here `link` is the actual data-path egress, so its state
-      // check is exact even for asymmetric faults.
+      // ECMP.
       if (dist[vi] == dist[s] - 1 && link->up() &&
           (v == d || is_switch_[vi])) {
         ecmp.push_back(link);
@@ -131,66 +125,14 @@ void Topology::rebuild_destination(NodeId d, std::vector<std::int32_t>& dist,
   }
 }
 
-void Topology::repair_destinations(std::vector<NodeId>& affected) {
-  const auto t0 = std::chrono::steady_clock::now();
-  route_stats_ = RouteBuildStats{};
-  for (const auto& adj : adjacency_) {
-    route_stats_.directed_edges += static_cast<std::int64_t>(adj.size());
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-
-  std::vector<std::int32_t> dist(nodes_.size());
-  std::vector<NodeId> frontier;
-  frontier.reserve(nodes_.size());
-  std::vector<Link*> ecmp;
-  for (NodeId d : affected) {
-    rebuild_destination(d, dist, frontier, ecmp);
-    ++route_stats_.destinations;
-  }
-  route_stats_.build_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  notify_changed();
-}
-
-void Topology::set_link_state(Link* link, bool up) {
-  assert(link != nullptr);
-  if (link->up() == up) return;
-  if (!up) {
-    // Collect the blast radius before touching state: only destinations
-    // whose installed routes ride the dying link need a new BFS.
-    std::vector<NodeId> affected;
-    for (Switch* sw : switches_) sw->routes_using(link, affected);
-    link->set_up(false);
-    repair_destinations(affected);
-  } else {
-    link->set_up(true);
-    build_routes();
-  }
-}
-
 void Topology::set_link_pair_state(Node& a, Node& b, bool up) {
   Link* fwd = link_between(a, b);
   Link* rev = link_between(b, a);
   assert(fwd != nullptr && rev != nullptr && "nodes are not adjacent");
-  if (!up) {
-    std::vector<NodeId> affected;
-    for (Switch* sw : switches_) {
-      sw->routes_using(fwd, affected);
-      sw->routes_using(rev, affected);
-    }
-    if (fwd->up()) fwd->set_up(false);
-    if (rev->up()) rev->set_up(false);
-    repair_destinations(affected);
-  } else {
-    const bool changed = !fwd->up() || !rev->up();
-    fwd->set_up(true);
-    rev->set_up(true);
-    if (changed) build_routes();
-  }
+  if (fwd->up() == up && rev->up() == up) return;
+  fwd->set_up(up);
+  rev->set_up(up);
+  build_routes();
 }
 
 Link* Topology::link_between(const Node& a, const Node& b) const {

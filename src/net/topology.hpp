@@ -49,25 +49,12 @@ class Topology {
   /// Must be called after all connect() calls and before traffic starts.
   void build_routes();
 
-  /// Costs of the most recent route pass — full build_routes() or an
-  /// incremental set_link_state repair (whose `destinations` then counts
-  /// only the destinations actually re-routed).
+  /// Costs of the most recent build_routes() pass.
   const RouteBuildStats& route_build_stats() const { return route_stats_; }
 
-  /// Flips one directed link's administrative state and repairs routes.
-  /// Link-down is incremental: only destinations whose installed routes use
-  /// the link are re-BFSed (discovered by scanning switch route tables).
-  /// Link-up triggers a full rebuild — a healed link can shorten the path
-  /// to any destination, so there is no cheap sound subset. BFS discovery
-  /// checks the forward link of each pair (exact when both directions flip
-  /// together via set_link_pair_state; an approximation for asymmetric
-  /// single-direction faults, where the ECMP candidate check is still
-  /// exact). No-op if the link is already in the requested state.
-  void set_link_state(Link* link, bool up);
-
-  /// Flips both directions between `a` and `b` (the common fault model:
-  /// a cable cut takes out the pair). Repairs routes once for the union of
-  /// affected destinations.
+  /// Flips both directions between `a` and `b` (the fault model: a cable
+  /// cut takes out the pair) and rebuilds every route with build_routes().
+  /// No-op when both directions are already in the requested state.
   void set_link_pair_state(Node& a, Node& b, bool up);
 
   /// The directed link from `a` to `b`, or nullptr if they are not adjacent.
@@ -95,7 +82,7 @@ class Topology {
 
   /// Registers the (single) observer notified whenever routes or link
   /// capacities change. Route-affecting entry points (build_routes,
-  /// set_link_state, set_link_pair_state) fire it themselves; callers that
+  /// set_link_pair_state) fire it themselves; callers that
   /// mutate link state directly (Link::set_rate_bps / set_blackhole /
   /// set_fault_drop) must call notify_changed() afterwards. A flow-level
   /// backend uses this to re-resolve routes and recompute its allocation;
@@ -111,16 +98,13 @@ class Topology {
   }
 
  private:
-  /// One BFS from destination `d` over the reverse graph, installing (or
-  /// clearing) every switch's route towards `d`. Skips down links. The
-  /// scratch vectors are caller-owned so a pass over many destinations
-  /// reuses them.
+  /// One BFS from destination `d` over the reverse graph, installing every
+  /// switch's route towards `d` into the tables build_routes() cleared.
+  /// Skips down links. The BFS buffers are caller-owned so a pass over
+  /// many destinations reuses them.
   void rebuild_destination(NodeId d, std::vector<std::int32_t>& dist,
                            std::vector<NodeId>& frontier,
                            std::vector<Link*>& ecmp);
-  /// Incremental repair shared by the set_link_state entry points:
-  /// re-routes exactly `affected` (sorted, deduped) destinations.
-  void repair_destinations(std::vector<NodeId>& affected);
 
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;

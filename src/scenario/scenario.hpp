@@ -19,8 +19,8 @@ class EngineContext;
 // Scenario is a self-contained copyable value: a campaign Spec can carry one
 // across worker threads and every run resolves it against its own world.
 
-/// Takes both directions between two adjacent nodes down (cable cut).
-/// Routes are repaired incrementally (Topology::set_link_pair_state).
+/// Takes both directions between two adjacent nodes down (cable cut) and
+/// rebuilds every route (Topology::set_link_pair_state).
 struct LinkDown {
   std::string node_a;
   std::string node_b;

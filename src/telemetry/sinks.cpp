@@ -107,11 +107,17 @@ void CsvTraceSink::finish() { csv_.reset(); }
 // ----------------------------------------------------------- ChromeTraceSink
 
 std::string track_name(std::uint64_t track) {
-  if (track >= 2'000'000) {
-    return "link " + std::to_string(track - 2'000'000);
+  if (track == track_scenario()) return "scenario";
+  if (track == track_traffic()) return "traffic";
+  if (track == track_flowsim()) return "flowsim";
+  if (track >= track_switch(0)) {
+    return "switch " + std::to_string(track - track_switch(0));
   }
-  if (track >= 1'000'000) {
-    return "job " + std::to_string(track - 1'000'000);
+  if (track >= track_link(0)) {
+    return "link " + std::to_string(track - track_link(0));
+  }
+  if (track >= track_job(0)) {
+    return "job " + std::to_string(track - track_job(0));
   }
   return "flow " + std::to_string(track);
 }

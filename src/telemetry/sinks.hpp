@@ -85,7 +85,9 @@ class ChromeTraceSink : public TraceSink {
   std::set<std::uint64_t> known_tracks_;
 };
 
-/// Human-readable name of a telemetry track id ("flow 3", "job 0", ...).
+/// Human-readable name of a telemetry track id, decoding every namespace in
+/// trace_event.hpp: "flow 3", "job 0", "link 7", "switch 2", "scenario",
+/// "traffic" or "flowsim".
 std::string track_name(std::uint64_t track);
 
 }  // namespace mltcp::telemetry

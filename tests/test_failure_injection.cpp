@@ -33,7 +33,7 @@ struct LossyRig {
     cfg.hosts_per_side = 2;
     cfg.bottleneck_queue = [this] {
       auto q = std::make_unique<net::RandomDropQueue>(
-          std::make_unique<net::DropTailQueue>(512 * 1500), 0.0, 7);
+          std::make_unique<net::FifoQueue>(512 * 1500), 0.0, 7);
       // Only the first-created queue (the forward bottleneck) gets the knob.
       if (knob == nullptr) knob = q.get();
       return q;

@@ -178,7 +178,7 @@ TEST(Forwarding, PacketRingPreservesFifoAcrossWraparound) {
 }
 
 TEST(Forwarding, DropTailByteAccountingExactAcrossWrap) {
-  DropTailQueue q(10 * 150);
+  FifoQueue q(10 * 150);
   std::int64_t expected = 0;
   std::uint64_t rng = 7;
   const auto next = [&rng] {
@@ -304,7 +304,7 @@ TEST(Forwarding, BuildRoutesIsOneBfsPerDestination) {
 // --------------------------------------- pFabric differential testing
 
 /// The original multiset-backed pFabric implementation, kept as the
-/// executable specification: the min-max heap must reproduce its admission
+/// executable specification: the sorted queue must reproduce its admission
 /// decisions, evictions and dequeue order exactly (same total order on
 /// (priority, arrival_seq), same eviction rule).
 class PfabricReference {
@@ -370,7 +370,7 @@ void expect_same_packet(const std::optional<Packet>& got,
   EXPECT_EQ(got->size_bytes, want->size_bytes) << "step " << step;
 }
 
-TEST(Forwarding, PfabricHeapMatchesMultisetReferenceOnSeededTrace) {
+TEST(Forwarding, PfabricQueueMatchesMultisetReferenceOnSeededTrace) {
   // Small capacity so the trace spends much of its time at the eviction
   // boundary, and a narrow priority range so the arrival-seq tiebreak is
   // exercised constantly.

@@ -15,10 +15,10 @@ Packet data_packet(std::int32_t size = 1500, std::int64_t priority = 0,
   return p;
 }
 
-// ---------------------------------------------------------------- DropTail
+// -------------------------------------------------------------------- FIFO
 
-TEST(DropTailQueue, FifoOrder) {
-  DropTailQueue q(10 * 1500);
+TEST(FifoQueue, FifoOrder) {
+  FifoQueue q(10 * 1500);
   for (int i = 0; i < 3; ++i) {
     Packet p = data_packet();
     p.seq = i;
@@ -32,8 +32,8 @@ TEST(DropTailQueue, FifoOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(DropTailQueue, DropsWhenFull) {
-  DropTailQueue q(2 * 1500);
+TEST(FifoQueue, DropsWhenFull) {
+  FifoQueue q(2 * 1500);
   EXPECT_TRUE(q.enqueue(data_packet(), 0));
   EXPECT_TRUE(q.enqueue(data_packet(), 0));
   EXPECT_FALSE(q.enqueue(data_packet(), 0));
@@ -41,8 +41,8 @@ TEST(DropTailQueue, DropsWhenFull) {
   EXPECT_EQ(q.stats().enqueued_packets, 2);
 }
 
-TEST(DropTailQueue, ByteCapacityNotPacketCount) {
-  DropTailQueue q(3000);
+TEST(FifoQueue, ByteCapacityNotPacketCount) {
+  FifoQueue q(3000);
   EXPECT_TRUE(q.enqueue(data_packet(2000), 0));
   // 2000 + 1500 > 3000: dropped even though only one packet is resident.
   EXPECT_FALSE(q.enqueue(data_packet(1500), 0));
@@ -50,8 +50,8 @@ TEST(DropTailQueue, ByteCapacityNotPacketCount) {
   EXPECT_EQ(q.backlog_bytes(), 3000);
 }
 
-TEST(DropTailQueue, BacklogTracksDequeue) {
-  DropTailQueue q(10 * 1500);
+TEST(FifoQueue, BacklogTracksDequeue) {
+  FifoQueue q(10 * 1500);
   q.enqueue(data_packet(), 0);
   q.enqueue(data_packet(), 0);
   EXPECT_EQ(q.backlog_bytes(), 3000);
@@ -61,15 +61,15 @@ TEST(DropTailQueue, BacklogTracksDequeue) {
   EXPECT_EQ(q.stats().max_backlog_bytes, 3000);
 }
 
-TEST(DropTailQueue, DequeueEmptyReturnsNullopt) {
-  DropTailQueue q(1500);
+TEST(FifoQueue, DequeueEmptyReturnsNullopt) {
+  FifoQueue q(1500);
   EXPECT_FALSE(q.dequeue(0).has_value());
 }
 
-// ------------------------------------------------------------ EcnThreshold
+// ------------------------------------------------------- FIFO, ECN marking
 
-TEST(EcnThresholdQueue, MarksAboveThreshold) {
-  EcnThresholdQueue q(100 * 1500, 2 * 1500);
+TEST(FifoQueue, MarksAboveThreshold) {
+  FifoQueue q(100 * 1500, 2 * 1500);
   // First two arrivals see backlog below the 2-packet threshold: unmarked.
   q.enqueue(data_packet(1500, 0, true), 0);
   q.enqueue(data_packet(1500, 0, true), 0);
@@ -81,8 +81,8 @@ TEST(EcnThresholdQueue, MarksAboveThreshold) {
   EXPECT_EQ(q.stats().marked_packets, 1);
 }
 
-TEST(EcnThresholdQueue, DoesNotMarkNonEcnPackets) {
-  EcnThresholdQueue q(100 * 1500, 1500);
+TEST(FifoQueue, DoesNotMarkNonEcnPackets) {
+  FifoQueue q(100 * 1500, 1500);
   q.enqueue(data_packet(1500, 0, false), 0);
   q.enqueue(data_packet(1500, 0, false), 0);
   EXPECT_FALSE(q.dequeue(0)->ce);
@@ -90,8 +90,8 @@ TEST(EcnThresholdQueue, DoesNotMarkNonEcnPackets) {
   EXPECT_EQ(q.stats().marked_packets, 0);
 }
 
-TEST(EcnThresholdQueue, StillDropsAtCapacity) {
-  EcnThresholdQueue q(2 * 1500, 1500);
+TEST(FifoQueue, StillDropsAtCapacity) {
+  FifoQueue q(2 * 1500, 1500);
   EXPECT_TRUE(q.enqueue(data_packet(1500, 0, true), 0));
   EXPECT_TRUE(q.enqueue(data_packet(1500, 0, true), 0));
   EXPECT_FALSE(q.enqueue(data_packet(1500, 0, true), 0));
@@ -143,13 +143,13 @@ TEST(PfabricPriorityQueue, DropsArrivalWorseThanResidents) {
 // ------------------------------------------------------------- RandomDrop
 
 TEST(RandomDropQueue, ZeroProbabilityPassesEverything) {
-  RandomDropQueue q(std::make_unique<DropTailQueue>(100 * 1500), 0.0, 1);
+  RandomDropQueue q(std::make_unique<FifoQueue>(100 * 1500), 0.0, 1);
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.enqueue(data_packet(), 0));
   EXPECT_EQ(q.random_drops(), 0);
 }
 
 TEST(RandomDropQueue, CertainDropKillsDataButNotAcks) {
-  RandomDropQueue q(std::make_unique<DropTailQueue>(100 * 1500), 1.0, 1);
+  RandomDropQueue q(std::make_unique<FifoQueue>(100 * 1500), 1.0, 1);
   EXPECT_FALSE(q.enqueue(data_packet(), 0));
   Packet ack;
   ack.type = PacketType::kAck;
@@ -159,7 +159,7 @@ TEST(RandomDropQueue, CertainDropKillsDataButNotAcks) {
 }
 
 TEST(RandomDropQueue, DropRateApproximatesProbability) {
-  RandomDropQueue q(std::make_unique<DropTailQueue>(100000 * 1500), 0.1, 42);
+  RandomDropQueue q(std::make_unique<FifoQueue>(100000 * 1500), 0.1, 42);
   int dropped = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {

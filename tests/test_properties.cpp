@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/mltcp.hpp"
@@ -18,9 +19,11 @@ namespace {
 // ---------------------------------------------------------------- queues
 
 /// Conservation: every packet offered to a queue is either dropped, still
-/// backlogged, or has been dequeued — for every discipline.
+/// backlogged, or has been dequeued — for every discipline. The kind is a
+/// std::string, not a const char*: gtest prints a pointer inside a tuple as
+/// its address, and the test names would change from run to run.
 class QueueConservation
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 std::unique_ptr<net::QueueDiscipline> make_queue(const std::string& kind) {
   if (kind == "droptail") return net::make_droptail_factory(20 * 1500)();
@@ -67,6 +70,10 @@ TEST_P(QueueConservation, OfferedEqualsDroppedPlusServedPlusBacklog) {
   EXPECT_EQ(served, backlog);
   EXPECT_TRUE(q->empty());
   EXPECT_EQ(q->backlog_bytes(), 0);
+  // Half the offered packets are ECN-capable: drop-tail must not mark them.
+  if (kind == "droptail") {
+    EXPECT_EQ(q->stats().marked_packets, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -78,9 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------------- transport
 
 /// Reliability: a transfer completes and delivers every segment exactly
-/// once, for every congestion controller and loss rate.
+/// once, for every congestion controller and loss rate (std::string kind,
+/// as in QueueConservation, so the test names stay fixed).
 class TransportReliability
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 tcp::CcFactory make_cc(const std::string& kind) {
   core::MltcpConfig mcfg;

@@ -1,8 +1,8 @@
 // Scenario-engine tests: scripted fault replay must be deterministic (same
 // seed + scenario -> byte-identical campaign output at any thread count), an
-// empty scenario must leave a run untouched, link faults must repair routes
-// incrementally, and the transport must survive blackouts longer than the
-// RTO cap.
+// empty scenario must leave a run untouched, a cable cut must remove exactly
+// the routes it breaks until the heal, and the transport must survive
+// blackouts longer than the RTO cap.
 
 #include <gtest/gtest.h>
 
@@ -80,9 +80,9 @@ TEST(Scenario, EmptyScenarioLeavesRunByteIdentical) {
   }
 }
 
-// ------------------------------------------------- incremental route repair
+// --------------------------------------------------------------- cable cuts
 
-TEST(Scenario, LinkDownRepairsOnlyAffectedDestinations) {
+TEST(Scenario, PairCutStrandsOneHostUntilHeal) {
   sim::Simulator sim;
   net::LeafSpineConfig cfg;
   cfg.racks = 2;
@@ -90,25 +90,24 @@ TEST(Scenario, LinkDownRepairsOnlyAffectedDestinations) {
   cfg.spines = 2;
   auto ls = net::make_leaf_spine(sim, cfg);
   net::Topology& topo = *ls.topology;
-  const std::size_t n_hosts = topo.hosts().size();
-  ASSERT_EQ(topo.route_build_stats().destinations,
-            static_cast<std::int64_t>(n_hosts));
 
-  // An access-link cut strands exactly one destination: only that host is
-  // re-BFSed, everything else keeps its installed routes.
+  // An access-link cut strands its host: no switch has a route to it.
   net::Host* victim = ls.racks[0][0];
+  net::Host* sibling = ls.racks[0][1];
   topo.set_link_pair_state(*victim, *ls.tors[0], false);
-  EXPECT_EQ(topo.route_build_stats().destinations, 1);
-  EXPECT_EQ(ls.tors[0]->route(victim->id()), nullptr);
-  EXPECT_EQ(ls.tors[1]->route(victim->id()), nullptr);
-  // A sibling's route survives untouched.
-  EXPECT_NE(ls.tors[0]->route(ls.racks[0][1]->id()), nullptr);
+  for (const net::Switch* sw : topo.switches()) {
+    EXPECT_EQ(sw->route(victim->id()), nullptr) << sw->name();
+  }
+  // Its rack sibling keeps its route, locally and across the fabric.
+  EXPECT_EQ(ls.tors[0]->route(sibling->id()),
+            topo.link_between(*ls.tors[0], *sibling));
+  EXPECT_EQ(ls.tors[1]->route_width(sibling->id()), 2u);
 
-  // Healing is a full rebuild (a new link can shorten any path).
+  // The heal restores the stranded host's routes.
   topo.set_link_pair_state(*victim, *ls.tors[0], true);
-  EXPECT_EQ(topo.route_build_stats().destinations,
-            static_cast<std::int64_t>(n_hosts));
-  EXPECT_NE(ls.tors[0]->route(victim->id()), nullptr);
+  EXPECT_EQ(ls.tors[0]->route(victim->id()),
+            topo.link_between(*ls.tors[0], *victim));
+  EXPECT_EQ(ls.tors[1]->route_width(victim->id()), 2u);
 }
 
 TEST(Scenario, SpineLinkDownNarrowsEcmpAndKeepsConnectivity) {
@@ -122,16 +121,11 @@ TEST(Scenario, SpineLinkDownNarrowsEcmpAndKeepsConnectivity) {
   net::Host* remote = ls.racks[1][0];
   ASSERT_EQ(ls.tors[0]->route_width(remote->id()), 2u);
 
-  // Asymmetric fault: only the tor0 -> spine0 direction dies. Blast radius
-  // is tor0's remote destinations (its ECMP sets ride that link); spine0's
-  // own table — whose routes use the healthy reverse direction — is
-  // untouched, so the repair re-BFSes strictly fewer destinations than a
-  // full build. (A pair cut in this fabric touches every destination
-  // through one table or the other, so partiality needs the asymmetry.)
-  topo.set_link_state(topo.link_between(*ls.tors[0], *ls.spines[0]), false);
+  // Cutting the tor0 <-> spine0 cable leaves tor0 one way up the fabric.
+  topo.set_link_pair_state(*ls.tors[0], *ls.spines[0], false);
   EXPECT_EQ(ls.tors[0]->route_width(remote->id()), 1u);
-  EXPECT_LT(topo.route_build_stats().destinations,
-            static_cast<std::int64_t>(topo.hosts().size()));
+  EXPECT_EQ(ls.tors[0]->route(remote->id()),
+            topo.link_between(*ls.tors[0], *ls.spines[1]));
 
   // Traffic still crosses the fabric over the surviving spine.
   tcp::TcpFlow flow(sim, *ls.racks[0][0], *remote, 1,
@@ -167,9 +161,9 @@ TEST(Scenario, FlowSurvivesBlackoutLongerThanMaxRto) {
   // probe after a 3 s outage would land past 4 s.
   EXPECT_LT(sim::to_seconds(done), 3.6);
   EXPECT_GE(flow.sender().stats().timeouts, 12);
-  // The incremental repair removed the routes at link-down time, so the
-  // RTO probes of the blackout die as routeless drops at the edge switch —
-  // they never reach the dead link itself.
+  // The route rebuild at link-down time removed the routes across the cut,
+  // so the RTO probes of the blackout die as routeless drops at the edge
+  // switch — they never reach the dead link itself.
   EXPECT_GT(rig.d.left_switch->routeless_drops(), 0);
 }
 

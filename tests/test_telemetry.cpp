@@ -181,6 +181,10 @@ TEST(TraceSinks, TrackNamesFollowNamespaces) {
   EXPECT_EQ(telemetry::track_name(telemetry::track_flow(5)), "flow 5");
   EXPECT_EQ(telemetry::track_name(telemetry::track_job(2)), "job 2");
   EXPECT_EQ(telemetry::track_name(telemetry::track_link(1)), "link 1");
+  EXPECT_EQ(telemetry::track_name(telemetry::track_switch(3)), "switch 3");
+  EXPECT_EQ(telemetry::track_name(telemetry::track_scenario()), "scenario");
+  EXPECT_EQ(telemetry::track_name(telemetry::track_traffic()), "traffic");
+  EXPECT_EQ(telemetry::track_name(telemetry::track_flowsim()), "flowsim");
 }
 
 // ----------------------------------------------------------------- metrics
@@ -243,7 +247,7 @@ TEST(MetricRegistry, SnapshotIsSortedAndExpandsHistograms) {
 // -------------------------------------------------------------- collectors
 
 TEST(Collectors, QueueStatsLandInRegistry) {
-  net::DropTailQueue q(3000);
+  net::FifoQueue q(3000);
   for (int i = 0; i < 4; ++i) {
     net::Packet pkt;
     pkt.size_bytes = 1500;
@@ -302,7 +306,7 @@ TEST(Instrumentation, PacketRunEmitsJobFlowAndQueueEvents) {
   dcfg.hosts_per_side = 2;
   // A tiny buffer guarantees drops, so kQueue events must appear.
   dcfg.bottleneck_queue = [] {
-    return std::make_unique<net::DropTailQueue>(8 * 1500);
+    return std::make_unique<net::FifoQueue>(8 * 1500);
   };
   net::Dumbbell d = net::make_dumbbell(sim, dcfg);
 
