@@ -27,11 +27,10 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The closures the simulator actually schedules are not empty: every hop
-// captures a net::Packet by value (link transmission-done, propagation
-// delivery — see net/link.cpp). This is the shape where the engine's inline
-// callback storage matters: a type-erased std::function would heap-allocate
-// each one.
+// The closures the simulator actually schedules are not empty: every hop's
+// delivery captures a net::Packet by value (see net/link.cpp). This is the
+// shape where the engine's inline callback storage matters: a type-erased
+// std::function would heap-allocate each one.
 void BM_EventQueuePacketClosures(benchmark::State& state) {
   std::int64_t sink = 0;
   for (auto _ : state) {
@@ -190,6 +189,33 @@ void BM_BuildRoutesLeafSpine(benchmark::State& state) {
   state.counters["edges_scanned"] = static_cast<double>(st.edges_scanned);
 }
 BENCHMARK(BM_BuildRoutesLeafSpine)->RangeMultiplier(4)->Range(4, 256);
+
+// One link's cost per packet-hop: a burst offered at once, serialized and
+// delivered. A burst of 1 finds the transmitter idle; in a burst of 64,
+// every packet but the first waits behind it. Items are packet-hops.
+void BM_LinkHop(benchmark::State& state) {
+  const std::int64_t burst = state.range(0);
+  sim::Simulator sim;
+  net::Topology topo(sim);
+  net::Host* a = topo.add_host("a");
+  net::Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 10e9, sim::microseconds(1),
+               net::make_droptail_factory(burst * 1500));
+  std::int64_t delivered = 0;
+  b->register_flow(1, [&delivered](const net::Packet&) { ++delivered; });
+  net::Packet pkt;
+  pkt.type = net::PacketType::kData;
+  pkt.dst = b->id();
+  pkt.flow = 1;
+  pkt.size_bytes = 1500;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < burst; ++i) a->send(pkt);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * burst);
+}
+BENCHMARK(BM_LinkHop)->Arg(1)->Arg(64);
 
 void BM_PacketTransferOneMegabyte(benchmark::State& state) {
   for (auto _ : state) {

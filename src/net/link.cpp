@@ -37,7 +37,7 @@ void Link::send(const Packet& pkt) {
     ++fault_drops_;
     return;
   }
-  if (!busy_) {
+  if (!busy()) {
     // Transmitter idle: the packet bypasses the queue discipline's ordering
     // but still runs through its admission/marking logic.
     if (auto next = queue_->enqueue_dequeue(pkt, sim_.now())) {
@@ -45,61 +45,70 @@ void Link::send(const Packet& pkt) {
     }
     return;
   }
-  queue_->enqueue(pkt, sim_.now());
+  // The first packet to wait behind the transmitter arms its tx-done (a
+  // cut link's is already armed).
+  if (queue_->enqueue(pkt, sim_.now()) && !tx_timer_.pending()) {
+    tx_timer_.arm_at(busy_until_);
+  }
 }
 
 void Link::start_transmission(const Packet& pkt) {
-  busy_ = true;
-  const sim::SimTime tx = sim::transmission_time(pkt.size_bytes, rate_bps_);
-  for (const auto& obs : observers_) obs(pkt, sim_.now());
+  const sim::SimTime now = sim_.now();
+  busy_until_ = now + sim::transmission_time(pkt.size_bytes, rate_bps_);
+  for (const auto& obs : observers_) obs(pkt, now);
   if (auto* t = telemetry::tracer_for(sim_, telemetry::Category::kLink)) {
-    t->counter(telemetry::Category::kLink, "backlog_bytes", sim_.now(), track_,
+    t->counter(telemetry::Category::kLink, "backlog_bytes", now, track_,
                static_cast<double>(queue_->backlog_bytes()));
   }
-  busy_time_ += tx;
+  busy_time_ += busy_until_ - now;
+  bytes_tx_ += pkt.size_bytes;
+  ++packets_tx_;
   tx_pkt_ = pkt;
-  tx_timer_.arm(tx);
+  if (delivery_sink_ != nullptr) {
+    tx_timer_.arm_at(busy_until_);  // Hands the packet off when it ends.
+    return;
+  }
+  // Push the delivery now, at the link's canonical tiebreak key (the same
+  // wire-FIFO key a cut link's handoff carries, so the sharded import merge
+  // and the serial queue share one total order). Each packet in flight is
+  // its own event, so the closure carries the packet by value — it must
+  // stay within the inline-callback budget or every hop would
+  // heap-allocate (the engine's dominant cost before this design).
+  auto deliver = [dst = dst_, pkt] { dst->receive(pkt); };
+  static_assert(sizeof(deliver) <= sim::kInlineCallbackCapacity,
+                "propagation closure outgrew the inline-callback budget");
+  delivery_queue_ = &sim_.event_queue();
+  delivery_id_ = delivery_queue_->schedule_keyed(
+      busy_until_ + prop_delay_, next_delivery_key(), std::move(deliver));
 }
 
 void Link::on_transmission_done() {
-  bytes_tx_ += tx_pkt_.size_bytes;
-  ++packets_tx_;
-  // Hand off to propagation; delivery happens prop_delay_ later, at the
-  // link's canonical tiebreak key (same key either way, so the sharded
-  // import merge and the serial queue share one total order). On a cut link
-  // (sharded run) the delivery crosses to the destination's shard through
-  // the installed sink; otherwise each packet in flight is its own local
-  // event, so the closure carries the packet by value — it must stay within
-  // the inline-callback budget or every hop would heap-allocate (the
-  // engine's dominant cost before this design). Captures initialize straight
-  // from the members so the packet is copied once into the closure and once
-  // into slot storage, nothing more.
-  const std::uint64_t key = next_delivery_key();
   if (delivery_sink_ != nullptr) {
-    delivery_sink_->deliver(sim_.now() + prop_delay_, key, dst_, tx_pkt_);
-  } else {
-    auto deliver = [dst = dst_, pkt = tx_pkt_] { dst->receive(pkt); };
-    static_assert(sizeof(deliver) <= sim::kInlineCallbackCapacity,
-                  "propagation closure outgrew the inline-callback budget");
-    sim_.schedule_keyed(prop_delay_, key, std::move(deliver));
+    delivery_sink_->deliver(sim_.now() + prop_delay_, next_delivery_key(),
+                            dst_, tx_pkt_);
   }
-
   auto next = queue_->dequeue(sim_.now());
-  if (next.has_value()) {
-    start_transmission(*next);
-  } else {
-    busy_ = false;
-  }
+  if (!next.has_value()) return;
+  start_transmission(*next);
+  if (!tx_timer_.pending() && !queue_->empty()) tx_timer_.arm_at(busy_until_);
 }
 
 void Link::set_up(bool up) {
   if (up_ == up) return;
   up_ = up;
   if (up) return;  // Healing needs no local cleanup; senders re-probe.
-  // The cut loses the packet being serialized and everything buffered.
-  if (busy_) {
+  // The cut loses the packet on the transmitter and everything buffered.
+  if (busy()) {
+    const sim::SimTime now = sim_.now();
     tx_timer_.cancel();
-    busy_ = false;
+    if (delivery_sink_ == nullptr) {
+      delivery_queue_->cancel(delivery_id_);
+      --delivery_seq_;  // Its wire ordinal goes to the next packet.
+    }
+    bytes_tx_ -= tx_pkt_.size_bytes;
+    --packets_tx_;
+    busy_time_ -= busy_until_ - now;
+    busy_until_ = now - 1;
     ++fault_drops_;
   }
   while (queue_->dequeue(sim_.now()).has_value()) ++fault_drops_;
@@ -123,7 +132,9 @@ double Link::next_fault_uniform() {
 
 double Link::utilization(sim::SimTime now) const {
   if (now <= 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(now);
+  // Leave out the part of the current serialization still ahead of `now`.
+  const sim::SimTime ahead = busy_until_ > now ? busy_until_ - now : 0;
+  return static_cast<double>(busy_time_ - ahead) / static_cast<double>(now);
 }
 
 }  // namespace mltcp::net

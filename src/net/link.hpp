@@ -16,15 +16,17 @@ class Node;
 
 /// Cross-shard egress seam for sharded (PDES) execution: when a link's
 /// destination lives in a different shard than its source, the coordinator
-/// installs a sink and the link hands finished transmissions to it instead
-/// of scheduling the propagation-delivery event locally. `when` is the
-/// delivery timestamp (serialization end + propagation delay), which is
-/// strictly increasing per link because serialization time is positive —
-/// the monotonicity the conservative synchronization protocol relies on.
-/// `key` is the link's canonical delivery key for this packet — the same
-/// value the serial engine would use as the event's tiebreak, so the
-/// consumer shard can merge imports against its local queue in exactly the
-/// serial total order.
+/// installs a sink. Such a cut link keeps a tx-done event for every packet
+/// and hands the packet to the sink when its serialization ends, where a
+/// local link pushes its delivery event when serialization starts (pushing
+/// cross-shard deliveries that early would need a way to retract one when a
+/// cut lands mid-serialization). `when` is the delivery timestamp
+/// (serialization end + propagation delay), which is strictly increasing per
+/// link because serialization time is positive — the monotonicity the
+/// conservative synchronization protocol relies on. `key` is the link's
+/// canonical delivery key for this packet — the same value the serial
+/// engine would use as the event's tiebreak, so the consumer shard can merge
+/// imports against its local queue in exactly the serial total order.
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
@@ -35,6 +37,14 @@ class DeliverySink {
 /// Unidirectional point-to-point link: a serializing transmitter feeding a
 /// propagation delay, with a queue discipline buffering while the
 /// transmitter is busy.
+///
+/// A hop costs one event: the delivery, pushed when serialization starts,
+/// since its time (start + serialization + propagation) is known then. The
+/// transmitter is busy through `busy_until_`, the instant serialization
+/// ends; the tx-done timer is armed at that instant only while packets wait
+/// behind it, so a packet that finds the transmitter idle costs no second
+/// event. Cut links in sharded runs keep a tx-done per packet (see
+/// DeliverySink).
 class Link {
  public:
   /// Called for every packet as it begins transmission; used for bandwidth
@@ -60,12 +70,14 @@ class Link {
   // -- Administrative / fault state (driven by the scenario engine) --------
 
   bool up() const { return up_; }
-  /// Takes the link down or brings it back up. Going down aborts the packet
-  /// on the transmitter, drains the queue (all counted as fault drops) and
-  /// silently drops every subsequent send() until the link comes back.
-  /// Packets already in propagation still deliver — they left the link
-  /// before the cut. The aborted serialization stays in busy_time_
-  /// (sub-packet error, documented rather than tracked).
+  /// Takes the link down or brings it back up. Going down loses the packet
+  /// on the transmitter — one whose serialization ends at or after the cut
+  /// instant, since scenario events apply first at an instant — drains the
+  /// queue (all counted as fault drops) and silently drops every subsequent
+  /// send() until the link comes back. Packets already in propagation still
+  /// deliver — they left the link before the cut. The lost packet leaves
+  /// the counters, and the part of its serialization after the cut leaves
+  /// utilization().
   void set_up(bool up);
 
   /// Renegotiates the line rate mid-run (e.g. an autoneg downshift).
@@ -96,10 +108,17 @@ class Link {
   /// Registers an additional transmission observer.
   void add_tx_observer(TxObserver obs) { observers_.push_back(std::move(obs)); }
 
-  std::int64_t bytes_transmitted() const { return bytes_tx_; }
-  std::int64_t packets_transmitted() const { return packets_tx_; }
+  /// Packets (bytes) that finished serializing by now: the packet still on
+  /// the transmitter counts from the instant its serialization ends.
+  std::int64_t bytes_transmitted() const {
+    return bytes_tx_ - (serializing() ? tx_pkt_.size_bytes : 0);
+  }
+  std::int64_t packets_transmitted() const {
+    return packets_tx_ - (serializing() ? 1 : 0);
+  }
 
-  /// Fraction of busy time over [0, now]; useful for utilization reports.
+  /// Fraction of [0, now] the transmitter spent serializing; `now` is the
+  /// current time.
   double utilization(sim::SimTime now) const;
 
   /// Telemetry track id (track_link namespace) shared with the queue.
@@ -107,7 +126,8 @@ class Link {
 
   /// Routes finished transmissions to `sink` (cross-shard delivery) instead
   /// of the local event queue; null restores local delivery. Installed by
-  /// the PDES coordinator on cut links only.
+  /// the PDES coordinator on cut links only, before the run starts; removing
+  /// it ends the run (a packet on the transmitter then is not delivered).
   void set_delivery_sink(DeliverySink* sink) { delivery_sink_ = sink; }
   DeliverySink* delivery_sink() const { return delivery_sink_; }
 
@@ -115,6 +135,18 @@ class Link {
   void start_transmission(const Packet& pkt);
   void on_transmission_done();
   double next_fault_uniform();
+
+  /// A packet holds the transmitter. A local link's holds it through the
+  /// instant its serialization ends, so an arrival at that instant queues
+  /// and the tx-done serves it after the instant's deliveries, in the order
+  /// a tx-done per packet gave. A cut link's holds it until its tx-done
+  /// hands it to the sink.
+  bool busy() const {
+    return delivery_sink_ == nullptr ? sim_.now() <= busy_until_
+                                     : tx_timer_.pending();
+  }
+  /// The packet on the transmitter has not finished serializing.
+  bool serializing() const { return sim_.now() < busy_until_; }
 
   /// Canonical tiebreak key of the next delivery: (link rank + 1) << 40 |
   /// per-link FIFO ordinal. Below EventQueue::kOrdinalBand, so at equal
@@ -138,12 +170,17 @@ class Link {
   std::uint64_t delivery_seq_ = 0;
   DeliverySink* delivery_sink_ = nullptr;
 
-  /// Serialization-done deadline for the packet in `tx_pkt_`; rearmed in
-  /// place for every transmission instead of scheduling a fresh closure.
+  /// Tx-done at `busy_until_`: armed only while packets wait behind the
+  /// transmitter (for every packet on a cut link), rearmed in place.
   sim::Timer tx_timer_;
-  Packet tx_pkt_{};  ///< The packet currently on the transmitter.
+  Packet tx_pkt_{};  ///< The packet on the transmitter, or the last one.
+  /// Instant the packet in `tx_pkt_` finishes serializing.
+  sim::SimTime busy_until_ = -1;
+  /// The delivery a local link pushed for `tx_pkt_`, and the shard queue it
+  /// went to, so a cut applied from the coordinator thread can cancel it.
+  sim::EventId delivery_id_ = sim::kInvalidEventId;
+  sim::EventQueue* delivery_queue_ = nullptr;
 
-  bool busy_ = false;
   bool up_ = true;
   bool blackhole_ = false;
   double fault_p_ = 0.0;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "tcp/reno.hpp"
 #include "telemetry/tracer.hpp"
@@ -44,8 +47,56 @@ ScenarioEngine::ScenarioEngine(sim::Simulator& simulator,
       ctx_(simulator, topology, cluster),
       timer_(simulator, [this] { on_timer(); }) {}
 
+void ScenarioEngine::validate(const Event& e) const {
+  const auto reject = [&e](const auto&... what) {
+    std::ostringstream msg;
+    msg << "scenario " << action_name(e.action) << " at " << e.at
+        << " ns: ";
+    (msg << ... << what);
+    throw std::invalid_argument(msg.str());
+  };
+  const auto node = [&](const std::string& name) {
+    const net::Node* n = topo_.find_node(name);
+    if (n == nullptr) reject("unknown node '", name, "'");
+    return n;
+  };
+  const auto host = [&](int index) {
+    const std::size_t hosts = topo_.hosts().size();
+    if (index < 0 || static_cast<std::size_t>(index) >= hosts) {
+      reject("host index ", index, " is outside [0, ", hosts, ")");
+    }
+  };
+  std::visit(
+      [&](const auto& a) {
+        using A = std::decay_t<decltype(a)>;
+        if constexpr (requires { a.node_a; a.node_b; }) {
+          const net::Node* na = node(a.node_a);
+          const net::Node* nb = node(a.node_b);
+          if (topo_.link_between(*na, *nb) == nullptr) {
+            reject("'", a.node_a, "' and '", a.node_b, "' are not adjacent");
+          }
+        }
+        if constexpr (std::is_same_v<A, LinkRate>) {
+          if (!(a.rate_bps > 0.0)) {
+            reject("rate_bps must be > 0, got ", a.rate_bps);
+          }
+        }
+        if constexpr (std::is_same_v<A, DropBurst>) {
+          if (!(a.probability >= 0.0 && a.probability <= 1.0)) {
+            reject("probability must be in [0, 1], got ", a.probability);
+          }
+        }
+        if constexpr (std::is_same_v<A, BackgroundBurst>) {
+          host(a.src_host);
+          host(a.dst_host);
+        }
+      },
+      e.action);
+}
+
 void ScenarioEngine::install(const Scenario& scenario) {
   assert(events_.empty() && "install() must be called at most once");
+  for (const Event& e : scenario.events()) validate(e);
   if (scenario.empty()) return;  // Nothing scheduled: zero perturbation.
   events_ = scenario.events();
   std::stable_sort(events_.begin(), events_.end(),
@@ -73,46 +124,35 @@ void ScenarioEngine::on_timer() {
 void ScenarioEngine::apply(const Event& e) {
   struct Applier {
     ScenarioEngine& eng;
+    // install() validated every link action, so its names resolve to
+    // adjacent nodes.
     bool operator()(const LinkDown& a) {
-      net::Node* na = eng.topo_.find_node(a.node_a);
-      net::Node* nb = eng.topo_.find_node(a.node_b);
-      assert(na != nullptr && nb != nullptr && "unknown node in LinkDown");
-      if (na == nullptr || nb == nullptr) return false;
-      eng.topo_.set_link_pair_state(*na, *nb, false);
+      eng.topo_.set_link_pair_state(*eng.topo_.find_node(a.node_a),
+                                    *eng.topo_.find_node(a.node_b), false);
       return true;
     }
     bool operator()(const LinkUp& a) {
-      net::Node* na = eng.topo_.find_node(a.node_a);
-      net::Node* nb = eng.topo_.find_node(a.node_b);
-      assert(na != nullptr && nb != nullptr && "unknown node in LinkUp");
-      if (na == nullptr || nb == nullptr) return false;
-      eng.topo_.set_link_pair_state(*na, *nb, true);
+      eng.topo_.set_link_pair_state(*eng.topo_.find_node(a.node_a),
+                                    *eng.topo_.find_node(a.node_b), true);
       return true;
     }
     bool operator()(const LinkRate& a) {
-      net::Node* na = nullptr;
-      net::Node* nb = nullptr;
-      net::Link* fwd = eng.resolve_link(a.node_a, a.node_b, &na, &nb);
-      if (fwd == nullptr) return false;
-      net::Link* rev = eng.topo_.link_between(*nb, *na);
-      fwd->set_rate_bps(a.rate_bps);
-      if (rev != nullptr) rev->set_rate_bps(a.rate_bps);
+      eng.link(a.node_a, a.node_b)->set_rate_bps(a.rate_bps);
+      if (net::Link* rev = eng.link(a.node_b, a.node_a)) {
+        rev->set_rate_bps(a.rate_bps);
+      }
       // Routes are unchanged but capacities moved: a flow-level backend
       // listening on the topology must recompute its allocation.
       eng.topo_.notify_changed();
       return true;
     }
     bool operator()(const Blackhole& a) {
-      net::Link* link = eng.resolve_link(a.node_a, a.node_b);
-      if (link == nullptr) return false;
-      link->set_blackhole(a.on);
+      eng.link(a.node_a, a.node_b)->set_blackhole(a.on);
       eng.topo_.notify_changed();
       return true;
     }
     bool operator()(const DropBurst& a) {
-      net::Link* link = eng.resolve_link(a.node_a, a.node_b);
-      if (link == nullptr) return false;
-      link->set_fault_drop(a.probability, a.seed);
+      eng.link(a.node_a, a.node_b)->set_fault_drop(a.probability, a.seed);
       eng.topo_.notify_changed();
       return true;
     }
@@ -138,7 +178,6 @@ void ScenarioEngine::apply(const Event& e) {
     }
     bool operator()(const BackgroundBurst& a) {
       workload::Channel* flow = eng.background_flow(a.src_host, a.dst_host);
-      if (flow == nullptr) return false;
       // Sharded runs: the send's events (pacing, serialization) belong to
       // the source host's shard; applies run at a global barrier, so
       // binding here is race-free.
@@ -182,19 +221,9 @@ void ScenarioEngine::apply(const Event& e) {
   }
 }
 
-net::Link* ScenarioEngine::resolve_link(const std::string& a,
-                                        const std::string& b,
-                                        net::Node** node_a,
-                                        net::Node** node_b) {
-  net::Node* na = topo_.find_node(a);
-  net::Node* nb = topo_.find_node(b);
-  assert(na != nullptr && nb != nullptr && "unknown node in link action");
-  if (na == nullptr || nb == nullptr) return nullptr;
-  net::Link* link = topo_.link_between(*na, *nb);
-  assert(link != nullptr && "nodes are not adjacent");
-  if (node_a != nullptr) *node_a = na;
-  if (node_b != nullptr) *node_b = nb;
-  return link;
+net::Link* ScenarioEngine::link(const std::string& a,
+                                const std::string& b) const {
+  return topo_.link_between(*topo_.find_node(a), *topo_.find_node(b));
 }
 
 const traffic::TrafficSource* ScenarioEngine::traffic_source(
@@ -208,13 +237,6 @@ const traffic::TrafficSource* ScenarioEngine::traffic_source(
 workload::Channel* ScenarioEngine::background_flow(int src_host,
                                                    int dst_host) {
   const auto& hosts = topo_.hosts();
-  assert(src_host >= 0 && static_cast<std::size_t>(src_host) < hosts.size());
-  assert(dst_host >= 0 && static_cast<std::size_t>(dst_host) < hosts.size());
-  if (src_host < 0 || dst_host < 0 ||
-      static_cast<std::size_t>(src_host) >= hosts.size() ||
-      static_cast<std::size_t>(dst_host) >= hosts.size()) {
-    return nullptr;
-  }
   auto [it, inserted] = bg_flows_.try_emplace({src_host, dst_host}, nullptr);
   if (inserted) {
     // Legacy traffic is classic Reno — the non-MLTCP competitor of the

@@ -63,6 +63,11 @@ class ScenarioEngine {
 
   /// Installs the scenario and schedules its replay. Call once, before (or
   /// during) the run; events whose time is already past fire immediately.
+  /// Throws std::invalid_argument, naming the action, its time and the bad
+  /// value, when a link action names an unknown node or a non-adjacent
+  /// pair, a link_rate is not positive, a drop_burst probability lies
+  /// outside [0, 1] or a background_burst host index is out of range. Job
+  /// names are not checked: a job_arrival may create the job later.
   void install(const Scenario& scenario);
 
   // -- Manual replay (sharded execution) -----------------------------------
@@ -103,8 +108,8 @@ class ScenarioEngine {
 
   /// Events applied so far.
   int applied_events() const { return applied_; }
-  /// Events dropped because a named target did not resolve (asserts in
-  /// debug builds; released binaries skip and count).
+  /// Job events dropped because the named job did not exist when they
+  /// applied (asserts in debug builds; released binaries skip and count).
   int skipped_events() const { return skipped_; }
 
   /// Traffic sources spawned by TrafficBurst events, in apply order, so
@@ -119,11 +124,11 @@ class ScenarioEngine {
       const;
 
  private:
+  void validate(const Event& e) const;
   void on_timer();
   void apply(const Event& e);
-  net::Link* resolve_link(const std::string& a, const std::string& b,
-                          net::Node** node_a = nullptr,
-                          net::Node** node_b = nullptr);
+  /// The directed link between two named nodes (null if not adjacent).
+  net::Link* link(const std::string& a, const std::string& b) const;
   workload::Channel* background_flow(int src_host, int dst_host);
   void trace_applied(const Event& e);
 

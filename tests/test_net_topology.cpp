@@ -99,6 +99,147 @@ TEST(Link, QueueDropsUnderOverload) {
   EXPECT_EQ(topo.link_between(*a, *b)->queue().stats().dropped_packets, 6);
 }
 
+// -------------------------------------------------------------- hop timing
+
+TEST(Link, IdleHopIsOneEvent) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(10),
+               make_droptail_factory(1'000'000));
+  int received = 0;
+  b->register_flow(1, [&](const Packet&) { ++received; });
+  a->send(data_to(b->id(), 1));
+  sim.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(sim.events_executed(), 1u);  // The delivery alone.
+}
+
+TEST(Link, BackToBackPacketsAddOneTxDoneEachBehindTheFirst) {
+  constexpr int kPackets = 8;
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(10),
+               make_droptail_factory(1'000'000));
+  int received = 0;
+  b->register_flow(1, [&](const Packet&) { ++received; });
+  for (int i = 0; i < kPackets; ++i) a->send(data_to(b->id(), 1));
+  sim.run();
+  EXPECT_EQ(received, kPackets);
+  // N deliveries, plus a tx-done for each packet that waited.
+  EXPECT_EQ(sim.events_executed(), 2u * kPackets - 1);
+}
+
+TEST(Link, CountersTakeAPacketAtItsSerializationEnd) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(10),
+               make_droptail_factory(1'000'000));
+  b->register_flow(1, [](const Packet&) {});
+  Link* link = topo.link_between(*a, *b);
+  a->send(data_to(b->id(), 1));  // Serializes over [0, 12] us.
+
+  sim.run_until(sim::microseconds(6));
+  EXPECT_EQ(link->packets_transmitted(), 0);
+  EXPECT_EQ(link->bytes_transmitted(), 0);
+  EXPECT_DOUBLE_EQ(link->utilization(sim.now()), 1.0);
+  sim.run_until(sim::microseconds(12) - 1);
+  EXPECT_EQ(link->packets_transmitted(), 0);
+  sim.run_until(sim::microseconds(12));
+  EXPECT_EQ(link->packets_transmitted(), 1);
+  EXPECT_EQ(link->bytes_transmitted(), 1500);
+}
+
+TEST(Link, FifoArrivalAtSerializationEndWaitsBehindQueuedPackets) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(10),
+               make_droptail_factory(1'000'000));
+  std::vector<std::int64_t> order;
+  std::vector<sim::SimTime> arrivals;
+  b->register_flow(1, [&](const Packet& p) {
+    order.push_back(p.seq);
+    arrivals.push_back(sim.now());
+  });
+  auto numbered = [&](std::int64_t seq) {
+    Packet p = data_to(b->id(), 1);
+    p.seq = seq;
+    return p;
+  };
+  // Scheduled before the second packet arms the tx-done, so it runs first
+  // at 12 us, the instant the first packet's serialization ends.
+  sim.schedule(sim::microseconds(12), [&] { a->send(numbered(3)); });
+  a->send(numbered(1));
+  a->send(numbered(2));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(arrivals,
+            (std::vector<sim::SimTime>{sim::microseconds(22),
+                                       sim::microseconds(34),
+                                       sim::microseconds(46)}));
+}
+
+TEST(Link, PfabricEgressFreedAtAnArrivalInstantServesHigherPriorityFirst) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* c = topo.add_host("c");
+  Host* b = topo.add_host("b");
+  Switch* s = topo.add_switch("s");
+  const sim::SimTime prop = sim::microseconds(1);
+  // a's uplink is built before c's, so its delivery runs first at an
+  // instant both deliver.
+  topo.connect(*a, *s, 1e9, prop, make_droptail_factory(1'000'000));
+  topo.connect(*c, *s, 1e9, prop, make_droptail_factory(1'000'000));
+  topo.connect(*s, *b, 1e9, prop, make_pfabric_factory(1'000'000));
+  topo.build_routes();
+  std::vector<std::int64_t> order;
+  b->register_flow(1, [&](const Packet& p) { order.push_back(p.priority); });
+  auto prioritized = [&](std::int64_t priority) {
+    Packet p = data_to(b->id(), 1);
+    p.priority = priority;
+    return p;
+  };
+  // a's packets reach s at 13 and 25 us; the first serializes on s -> b
+  // over [13, 25] us. c's reaches s at 25 us too, after a's second.
+  a->send(prioritized(500));
+  a->send(prioritized(900));
+  sim.schedule(sim::microseconds(12), [&] { c->send(prioritized(100)); });
+  sim.run();
+  // Both arrivals at 25 us queue behind the first packet, and the egress
+  // then serves the higher priority (the smaller value) first.
+  EXPECT_EQ(order, (std::vector<std::int64_t>{500, 100, 900}));
+}
+
+TEST(Link, CutMidSerializationLeavesTheUnsentPartOutOfUtilization) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(10),
+               make_droptail_factory(1'000'000));
+  int received = 0;
+  b->register_flow(1, [&](const Packet&) { ++received; });
+  Link* link = topo.link_between(*a, *b);
+  a->send(data_to(b->id(), 1));  // Serializes over [0, 12] us.
+
+  sim.run_until(sim::microseconds(6));
+  link->set_up(false);
+  sim.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(link->fault_drops(), 1);
+  EXPECT_EQ(link->packets_transmitted(), 0);
+  EXPECT_EQ(link->bytes_transmitted(), 0);
+  EXPECT_DOUBLE_EQ(link->utilization(sim::microseconds(12)), 0.5);
+}
+
 // ---------------------------------------------------------------- routing
 
 TEST(Dumbbell, RoutesAcrossBottleneck) {

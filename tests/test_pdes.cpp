@@ -1,9 +1,11 @@
 // Sharded-PDES tests: the conservative-lookahead parallel engine must be
 // invisible in the results — 1-shard, N-shard cooperative and N-shard
 // threaded runs of the same experiment produce identical model state (the
-// byte-identity matrix), the partitioner must respect rack atomicity and
-// co-location on arbitrary fabrics, and the cross-shard channel must keep
-// its FIFO/LBTS contract under concurrency.
+// byte-identity matrix, including cuts around the end of a serialization,
+// where a cut link and a local link take different paths), the
+// partitioner must respect rack atomicity and co-location on arbitrary
+// fabrics, and the cross-shard channel must keep its FIFO/LBTS contract
+// under concurrency.
 
 #include <gtest/gtest.h>
 
@@ -386,6 +388,90 @@ TEST(PdesIdentity, LeafSpineFourShardsWithTrafficMatchSerial) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, leaf_spine_run(Exec::kCooperative, 4));
   EXPECT_EQ(serial, leaf_spine_run(Exec::kThreaded, 4));
+}
+
+/// One packet across a 1 + 1 dumbbell whose bottleneck (swL -> swR) is cut
+/// `offset` ns from the instant the packet finishes serializing on it.
+/// Reports the delivery and the bottleneck's fault drops and counters. At 2
+/// shards the bottleneck is a cut link, so it takes the tx-done handoff path
+/// where the serial run's local link pushes its delivery at serialization
+/// start; the cut rule must not tell them apart.
+std::string cut_run(Exec exec, sim::SimTime offset) {
+  sim::Simulator sim;
+  net::DumbbellConfig cfg;
+  cfg.hosts_per_side = 1;
+  auto d = net::make_dumbbell(sim, cfg);
+  workload::Cluster cluster(sim);
+  int delivered = 0;
+  d.right[0]->register_flow(1, [&](const net::Packet&) { ++delivered; });
+
+  net::Packet pkt;
+  pkt.type = net::PacketType::kData;
+  pkt.dst = d.right[0]->id();
+  pkt.flow = 1;
+  pkt.size_bytes = 1500;
+  // The uplink's serialization and propagation, then the bottleneck's
+  // serialization.
+  const sim::SimTime end =
+      sim::transmission_time(pkt.size_bytes, cfg.host_rate_bps) +
+      cfg.host_delay +
+      sim::transmission_time(pkt.size_bytes, cfg.bottleneck_rate_bps);
+  scenario::Scenario s;
+  s.link_down(end + offset, "swL", "swR");
+  scenario::ScenarioEngine engine(sim, *d.topology, cluster);
+
+  const sim::SimTime kEnd = sim::milliseconds(1);
+  if (exec == Exec::kSerial) {
+    engine.install(s);
+    d.left[0]->send(pkt);
+    sim.run_until(kEnd);
+  } else {
+    PartitionOptions opts;
+    opts.shards = 2;
+    const Partition part = pdes::partition_topology(*d.topology, opts);
+    bool bottleneck_cut = false;
+    for (const pdes::CutLink& cut : part.cut_links) {
+      bottleneck_cut |= cut.link == d.bottleneck;
+    }
+    EXPECT_TRUE(bottleneck_cut) << "the bottleneck must cross shards";
+    sim.configure_shards(part.shards);
+    engine.set_manual_replay(true);
+    engine.set_shard_mapper(
+        [part](const net::Node* n) { return part.shard_of(n); }, part.shards);
+    engine.install(s);
+    pdes::ShardedRunner runner(sim, *d.topology, part, runner_mode(exec));
+    runner.set_scenario(&engine);
+    {
+      sim::Simulator::ShardGuard guard(sim, part.shard_of(d.left[0]));
+      d.left[0]->send(pkt);
+    }
+    runner.run_until(kEnd);
+  }
+
+  std::ostringstream os;
+  os << "delivered " << delivered << " drops " << d.bottleneck->fault_drops()
+     << " packets " << d.bottleneck->packets_transmitted() << " bytes "
+     << d.bottleneck->bytes_transmitted();
+  return os.str();
+}
+
+void expect_cut_outcome(sim::SimTime offset, const std::string& want) {
+  EXPECT_EQ(cut_run(Exec::kSerial, offset), want);
+  EXPECT_EQ(cut_run(Exec::kCooperative, offset), want);
+  EXPECT_EQ(cut_run(Exec::kThreaded, offset), want);
+}
+
+TEST(PdesIdentity, CutBeforeSerializationEndLosesThePacket) {
+  expect_cut_outcome(-1, "delivered 0 drops 1 packets 0 bytes 0");
+}
+
+TEST(PdesIdentity, CutAtSerializationEndLosesThePacket) {
+  // Scenario events apply first at an instant, so the cut beats the end.
+  expect_cut_outcome(0, "delivered 0 drops 1 packets 0 bytes 0");
+}
+
+TEST(PdesIdentity, CutAfterSerializationEndDelivers) {
+  expect_cut_outcome(1, "delivered 1 drops 0 packets 1 bytes 1500");
 }
 
 TEST(PdesIdentity, RepeatedRunUntilMatchesOneShot) {

@@ -1,12 +1,14 @@
 // Scenario-engine tests: scripted fault replay must be deterministic (same
 // seed + scenario -> byte-identical campaign output at any thread count), an
 // empty scenario must leave a run untouched, a cable cut must remove exactly
-// the routes it breaks until the heal, and the transport must survive
-// blackouts longer than the RTO cap.
+// the routes it breaks until the heal, the transport must survive
+// blackouts longer than the RTO cap, and bad input must fail install()
+// with a message.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,54 @@ TEST(Scenario, BlackholeDropBurstAndRateRenegotiation) {
   EXPECT_FALSE(rig.d.bottleneck->blackhole());
   EXPECT_DOUBLE_EQ(rig.d.bottleneck->rate_bps(), 5e8);
   EXPECT_DOUBLE_EQ(rig.d.bottleneck_reverse->rate_bps(), 5e8);
+}
+
+// ------------------------------------------------------- input validation
+
+/// What install() throws for `s` on a 1 + 1 dumbbell ("" if it accepts it).
+std::string install_error(const scenario::Scenario& s) {
+  Rig rig(1);
+  scenario::ScenarioEngine engine(rig.sim, *rig.d.topology, rig.cluster);
+  try {
+    engine.install(s);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scenario, InstallRejectsUnknownNode) {
+  EXPECT_EQ(install_error(scenario::Scenario{}.link_down(
+                sim::milliseconds(40), "swL", "swX")),
+            "scenario link_down at 40000000 ns: unknown node 'swX'");
+}
+
+TEST(Scenario, InstallRejectsNonAdjacentPair) {
+  // Hosts hL0 and hR0 sit behind different switches.
+  EXPECT_EQ(install_error(scenario::Scenario{}.blackhole(
+                sim::milliseconds(5), "hL0", "hR0", true)),
+            "scenario blackhole_on at 5000000 ns: 'hL0' and 'hR0' are not "
+            "adjacent");
+}
+
+TEST(Scenario, InstallRejectsNonPositiveLinkRate) {
+  EXPECT_EQ(install_error(scenario::Scenario{}.link_rate(
+                sim::milliseconds(7), "swL", "swR", 0.0)),
+            "scenario link_rate at 7000000 ns: rate_bps must be > 0, got 0");
+}
+
+TEST(Scenario, InstallRejectsDropProbabilityOutsideUnitRange) {
+  EXPECT_EQ(install_error(scenario::Scenario{}.drop_burst(
+                sim::milliseconds(9), "swL", "swR", 1.5)),
+            "scenario drop_burst_on at 9000000 ns: probability must be in "
+            "[0, 1], got 1.5");
+}
+
+TEST(Scenario, InstallRejectsBackgroundHostOutOfRange) {
+  EXPECT_EQ(install_error(scenario::Scenario{}.background_burst(
+                sim::milliseconds(3), 0, 2, 100'000)),
+            "scenario background_burst at 3000000 ns: host index 2 is "
+            "outside [0, 2)");
 }
 
 // ----------------------------------------------- campaign determinism
