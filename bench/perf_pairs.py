@@ -6,9 +6,10 @@ Usage: bench/perf_pairs.py REV
 Runs every BENCHMARK.json workload for 10 pairs, REV from a temporary git
 worktree: each side of pair i is `python3 <tree>/bench/perf/run.py --workload
 W --seed i --seconds 6 --trace 0`, and the side that runs first alternates.
-Exits 1 when a workload's median head/base sim_s_per_wall_s is below 0.90
-or its head failed a larger share of repeats; one the base lacks is not
-gated. Prints what bench/perf/README.md's paired rule needs ("gain" where
+Exits 1 when a workload's median head/base sim_s_per_wall_s is below 0.90,
+its median head/base peak_rss_mb exceeds 1 + that metric's BENCHMARK.json
+bound, or its head failed a larger share of repeats; one the base lacks is
+not gated. Prints what bench/perf/README.md's paired rule needs ("gain" where
 it holds) and records the pairs in results/BENCH_perf.json, section
 "<base>..<head>".
 """
@@ -25,6 +26,7 @@ import record_baseline as rb
 
 OUTPUT = os.path.join(rb.ROOT, "results", "BENCH_perf.json")
 PAIRS, SECONDS, GATED, FLOOR = 10, 6, "sim_s_per_wall_s", 0.90
+MEMORY = "peak_rss_mb"  # Gated at 1 + its BENCHMARK.json bound.
 
 
 def benchmark(tree):
@@ -53,6 +55,13 @@ def run_side(tree, workload, seed):
             **{k: m["value"] for k, m in r["metrics"].items()}}
 
 
+def median_ratio(pairs, name):
+    """Median over pairs of head/base `name`, or None if no pair has it."""
+    ratios = [p["head"][name] / p["base"][name] for p in pairs
+              if name in p["base"] and name in p["head"]]
+    return statistics.median(ratios) if ratios else None
+
+
 def gate(workload, pairs, end_to_end):
     """Prints one workload's paired statistics; returns why it fails the
     gate, or "" when it passes."""
@@ -72,20 +81,24 @@ def gate(workload, pairs, end_to_end):
                     and sign * (med_h - med_b) > q3 - q1)
             print(f"  {name:<22}{med_b:>12.5g}{med_h:>12.5g}{q3 - q1:>10.4g}"
                   f"  {wins}/{len(pairs)}{'  gain' if gain else ''}")
-    ratios = [p["head"][GATED] / p["base"][GATED] for p in pairs
-              if GATED in p["base"] and GATED in p["head"]]
-    median = statistics.median(ratios) if ratios else 0.0
+    median = median_ratio(pairs, GATED) or 0.0
+    rss = median_ratio(pairs, MEMORY)
+    ceiling = next((1 + m["bound"] for m in end_to_end
+                    if m["name"] == MEMORY), None)
     failed = {s: sum(p[s]["failed"] for p in pairs) /
               sum(p[s]["attempted"] for p in pairs) for s in ("base", "head")}
     why = []
     if median < FLOOR:
         why.append(f"median head/base {GATED} {median:.3f} < {FLOOR}")
+    if rss is not None and ceiling is not None and rss > ceiling:
+        why.append(f"median head/base {MEMORY} {rss:.3f} > {ceiling:g}")
     if failed["head"] > failed["base"]:
         why.append(f"head failed {failed['head']:.1%} of its repeats, base "
                    f"{failed['base']:.1%}")
-    print(f"{workload}: median head/base {GATED} {median:.3f}; failed "
-          f"repeats base {failed['base']:.1%}, head {failed['head']:.1%} -> "
-          f"{'; '.join(why) or 'ok'}\n", flush=True)
+    rss_text = "-" if rss is None else f"{rss:.3f}"
+    print(f"{workload}: median head/base {GATED} {median:.3f}, {MEMORY} "
+          f"{rss_text}; failed repeats base {failed['base']:.1%}, head "
+          f"{failed['head']:.1%} -> {'; '.join(why) or 'ok'}\n", flush=True)
     return "; ".join(why)
 
 

@@ -1,6 +1,9 @@
 #include "net/node.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -89,11 +92,28 @@ void Switch::trace_routeless_drop(const Packet& pkt) const {
   }
 }
 
+FlowDemux::Slot& FlowDemux::grow_to(FlowId flow) {
+  assert(flow >= 0);
+  const auto idx = static_cast<std::size_t>(flow);
+  while (idx >= slot_capacity()) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  }
+  return *find(flow);
+}
+
+FlowDemux::Endpoint* Host::endpoint(FlowId flow) {
+  FlowDemux::Slot* slot = demux_.find(flow);
+  if (slot == nullptr) return nullptr;
+  for (FlowDemux::Endpoint& e : slot->ends) {
+    if (e.host == this) return &e;
+  }
+  return nullptr;
+}
+
 void Host::receive(const Packet& pkt) {
-  const auto idx = static_cast<std::uint32_t>(pkt.flow);
-  if (idx < handlers_.size() && handlers_[idx].handler) {
+  if (FlowDemux::Endpoint* e = endpoint(pkt.flow)) {
     ++delivered_;
-    handlers_[idx].handler(pkt);
+    e->handler(pkt);
     return;
   }
   ++unclaimed_;
@@ -107,31 +127,40 @@ void Host::send(const Packet& pkt) {
 }
 
 Host::FlowHandle Host::register_flow(FlowId flow, PacketHandler handler) {
-  assert(flow >= 0 && "flow ids must be dense non-negative indices");
-  const auto idx = static_cast<std::size_t>(flow);
-  if (idx >= handlers_.size()) handlers_.resize(idx + 1);
-  HandlerSlot& slot = handlers_[idx];
-  slot.handler = std::move(handler);
-  ++slot.gen;
-  return FlowHandle{flow, slot.gen};
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("host " + name() + ": flow " +
+                                std::to_string(flow) + " " + what);
+  };
+  if (flow < 0) reject("is negative");
+  if (!handler) reject("has an empty handler");
+  FlowDemux::Slot& slot = demux_.grow_to(flow);
+  // Replace this host's live registration, else take a free endpoint.
+  FlowDemux::Endpoint* e = endpoint(flow);
+  if (e == nullptr && slot.ends[0].host == nullptr) e = &slot.ends[0];
+  if (e == nullptr && slot.ends[1].host == nullptr) e = &slot.ends[1];
+  if (e == nullptr) {
+    reject("already has two live endpoints, on hosts " +
+           slot.ends[0].host->name() + " and " + slot.ends[1].host->name());
+  }
+  e->host = this;
+  e->handler = std::move(handler);
+  e->gen = std::max(slot.ends[0].gen, slot.ends[1].gen) + 1;
+  return FlowHandle{flow, e->gen};
 }
 
 void Host::unregister_flow(FlowId flow) {
-  const auto idx = static_cast<std::uint32_t>(flow);
-  if (idx >= handlers_.size() || !handlers_[idx].handler) return;
-  handlers_[idx].handler = nullptr;
-  ++handlers_[idx].gen;
+  if (const FlowDemux::Endpoint* e = endpoint(flow)) {
+    unregister_flow(FlowHandle{flow, e->gen});
+  }
 }
 
 void Host::unregister_flow(const FlowHandle& handle) {
-  const auto idx = static_cast<std::uint32_t>(handle.flow);
-  if (idx >= handlers_.size()) return;
-  HandlerSlot& slot = handlers_[idx];
   // Only the live registration may unregister: a handle from before the id
   // was reused has a stale generation and must not tear down the new flow.
-  if (slot.gen != handle.gen || !slot.handler) return;
-  slot.handler = nullptr;
-  ++slot.gen;
+  FlowDemux::Endpoint* e = endpoint(handle.flow);
+  if (e == nullptr || e->gen != handle.gen) return;
+  e->host = nullptr;
+  e->handler = nullptr;
 }
 
 }  // namespace mltcp::net

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,23 +95,79 @@ class Switch : public Node {
   std::int64_t routeless_drops_ = 0;
 };
 
-/// End host: demultiplexes received packets to per-flow handlers and sends
-/// all outbound traffic over its single uplink. Flow ids are dense (the
-/// workload layer assigns them sequentially), so demux is a flat table
-/// indexed by flow id; each slot carries a generation counter so a stale
-/// handle from a destroyed flow can never unregister a reused id.
-class Host : public Node {
+class Host;
+
+/// The flow-handler table of one topology, shared by all of its hosts. Flow
+/// ids are dense (the workload layer assigns them sequentially), so slot
+/// `flow` is one index away and holds the flow's two endpoints: the
+/// sender's host, which gets the ACKs, and the receiver's host, which gets
+/// the data. Memory is O(flows), not O(hosts x largest flow id). Slots live
+/// in fixed-size chunks, so growing the table never moves one: a handler
+/// may register flows while it runs. Shard threads only read the table;
+/// registrations happen when no shard runs (setup, scenario barriers, lane
+/// pre-creation).
+class FlowDemux {
  public:
   using PacketHandler = std::function<void(const Packet&)>;
 
-  /// Identifies one registration: flow id plus the slot generation at
-  /// registration time. Default-constructed handles are inert.
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+
+  FlowDemux() = default;
+  // Hosts keep a reference to their table.
+  FlowDemux(const FlowDemux&) = delete;
+  FlowDemux& operator=(const FlowDemux&) = delete;
+
+  /// One host's registration for a flow; `host == nullptr` marks a free
+  /// endpoint. `gen` is the registration's generation: each registration
+  /// takes one above both endpoints' current values, so no handle issued
+  /// for this flow id earlier can match it.
+  struct Endpoint {
+    const Host* host = nullptr;
+    PacketHandler handler;
+    std::uint32_t gen = 0;
+  };
+
+  struct Slot {
+    Endpoint ends[2];
+  };
+
+  /// The slot of `flow`, or nullptr when `flow` lies outside the table
+  /// (negative ids included).
+  Slot* find(FlowId flow) {
+    const auto idx = static_cast<std::uint32_t>(flow);
+    if (idx >= slot_capacity()) return nullptr;
+    return &chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
+  }
+
+  /// The slot of `flow` (>= 0), growing the table by whole chunks.
+  Slot& grow_to(FlowId flow);
+
+  /// Slots allocated, a whole number of chunks.
+  std::size_t slot_capacity() const { return chunks_.size() * kChunkSize; }
+
+ private:
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+};
+
+/// End host: demultiplexes received packets to per-flow handlers through
+/// its topology's FlowDemux and sends all outbound traffic over its single
+/// uplink. A handle carries the registration's generation, so a stale
+/// handle from a destroyed flow can never unregister a reused id.
+class Host : public Node {
+ public:
+  using PacketHandler = FlowDemux::PacketHandler;
+
+  /// Identifies one registration: flow id plus its generation. Default-
+  /// constructed handles are inert.
   struct FlowHandle {
     FlowId flow = kInvalidFlow;
     std::uint32_t gen = 0;
   };
 
-  using Node::Node;
+  /// `demux` is the owning topology's table and must outlive the host.
+  Host(NodeId id, std::string name, FlowDemux& demux)
+      : Node(id, std::move(name)), demux_(demux) {}
 
   void receive(const Packet& pkt) override;
 
@@ -121,14 +178,16 @@ class Host : public Node {
   void set_uplink(Link* uplink) { uplink_ = uplink; }
   Link* uplink() const { return uplink_; }
 
-  /// Registers the receive handler for one flow and returns a handle for
-  /// generation-checked unregistration. At most one handler per flow; data
-  /// and ACKs of a flow arrive at different hosts so a single table
-  /// suffices. Registering over a live handler replaces it (and invalidates
-  /// handles to the previous registration).
+  /// Registers this host's receive handler for one flow and returns a
+  /// handle for generation-checked unregistration. A flow has at most two
+  /// live endpoints, one per host (data and ACKs arrive at different
+  /// hosts). Registering over this host's live handler replaces it (and
+  /// invalidates handles to the previous registration). Throws
+  /// std::invalid_argument, naming the host and the id, for a negative id,
+  /// an empty handler or a third live endpoint.
   FlowHandle register_flow(FlowId flow, PacketHandler handler);
 
-  /// Unconditionally removes the handler for `flow` (if any).
+  /// Unconditionally removes this host's handler for `flow` (if any).
   void unregister_flow(FlowId flow);
   /// Removes the handler only if `handle` still names the live
   /// registration; a stale handle (the id was reused since) is a no-op.
@@ -138,13 +197,11 @@ class Host : public Node {
   std::int64_t unclaimed_packets() const { return unclaimed_; }
 
  private:
-  struct HandlerSlot {
-    PacketHandler handler;     ///< Empty = unregistered.
-    std::uint32_t gen = 0;     ///< Bumped on every register/unregister.
-  };
+  /// This host's live endpoint of `flow`, or nullptr.
+  FlowDemux::Endpoint* endpoint(FlowId flow);
 
   Link* uplink_ = nullptr;
-  std::vector<HandlerSlot> handlers_;  ///< Indexed by FlowId.
+  FlowDemux& demux_;
   std::int64_t delivered_ = 0;
   std::int64_t unclaimed_ = 0;
 };

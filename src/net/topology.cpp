@@ -8,7 +8,7 @@ namespace mltcp::net {
 
 Host* Topology::add_host(const std::string& name) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  auto host = std::make_unique<Host>(id, name);
+  auto host = std::make_unique<Host>(id, name, demux_);
   Host* ptr = host.get();
   nodes_.push_back(std::move(host));
   hosts_.push_back(ptr);

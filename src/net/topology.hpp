@@ -24,9 +24,10 @@ struct RouteBuildStats {
   double build_ms = 0.0;            ///< Wall time of the pass.
 };
 
-/// Owns every node and link of one simulated network and computes static
-/// shortest-path routes (with equal-cost sets where the fabric offers
-/// multiple shortest paths — see Switch::set_routes for the ECMP contract).
+/// Owns every node and link of one simulated network and the flow-handler
+/// table its hosts share; computes static shortest-path routes (with
+/// equal-cost sets where the fabric offers multiple shortest paths — see
+/// Switch::set_routes for the ECMP contract).
 class Topology {
  public:
   explicit Topology(sim::Simulator& simulator) : sim_(simulator) {}
@@ -78,6 +79,9 @@ class Topology {
 
   Node* node(NodeId id) const;
 
+  /// The flow-handler table every host of this topology registers with.
+  const FlowDemux& flow_demux() const { return demux_; }
+
   sim::Simulator& simulator() { return sim_; }
 
   /// Registers the (single) observer notified whenever routes or link
@@ -107,6 +111,7 @@ class Topology {
                            std::vector<Link*>& ecmp);
 
   sim::Simulator& sim_;
+  FlowDemux demux_;  ///< Declared before nodes_: outlives every host.
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Host*> hosts_;

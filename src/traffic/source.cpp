@@ -1,6 +1,8 @@
 #include "traffic/source.hpp"
 
 #include <cassert>
+#include <sstream>
+#include <stdexcept>
 
 #include "telemetry/tracer.hpp"
 
@@ -20,9 +22,32 @@ TrafficSource::TrafficSource(sim::Simulator& simulator,
 
 void TrafficSource::install(std::vector<FlowArrival> arrivals) {
   assert(arrivals_.empty() && "install() must be called at most once");
+  const std::size_t n = hosts_.size();
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const FlowArrival& a = arrivals[i];
+    const auto reject = [i](auto... what) {
+      std::ostringstream msg;
+      msg << "traffic arrival " << i << ": ";
+      (msg << ... << what);
+      throw std::invalid_argument(msg.str());
+    };
+    if (a.src < 0 || static_cast<std::size_t>(a.src) >= n) {
+      reject("src ", a.src, " is outside [0, ", n, ")");
+    }
+    if (a.dst < 0 || static_cast<std::size_t>(a.dst) >= n) {
+      reject("dst ", a.dst, " is outside [0, ", n, ")");
+    }
+    if (a.src == a.dst) reject("src and dst are both ", a.src);
+    if (a.bytes <= 0) reject("bytes ", a.bytes, " is not positive");
+    if (i > 0 && a.at < arrivals[i - 1].at) {
+      reject("at ", a.at, " ns is before arrival ", i - 1, "'s ",
+             arrivals[i - 1].at, " ns");
+    }
+  }
   if (arrivals.empty()) return;  // Nothing scheduled: zero perturbation.
   arrivals_ = std::move(arrivals);
   next_ = 0;
+  flows_.assign(n * n, nullptr);
   if (lane_of_ == nullptr) {
     records_.reserve(arrivals_.size());
     timer_.arm_at(arrivals_.front().at);
@@ -44,9 +69,6 @@ void TrafficSource::install(std::vector<FlowArrival> arrivals) {
   }
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
     const FlowArrival& a = arrivals_[i];
-    if (a.src < 0 || static_cast<std::size_t>(a.src) >= hosts_.size()) {
-      continue;  // flow_for already asserted; skip like a serial post would.
-    }
     const int lane = lane_of_(hosts_[static_cast<std::size_t>(a.src)]);
     assert(lane >= 0 && lane < lanes_ && "lane map out of range");
     lane_states_[static_cast<std::size_t>(lane)]->order.push_back(i);
@@ -146,7 +168,6 @@ void TrafficSource::on_lane_timer(int lane_index) {
 void TrafficSource::post(std::size_t index, Lane* lane) {
   const FlowArrival& a = arrivals_[index];
   workload::Channel* flow = flow_for(a.src, a.dst);
-  if (flow == nullptr) return;
 
   std::size_t record_index;
   if (lane == nullptr) {
@@ -187,30 +208,19 @@ void TrafficSource::post(std::size_t index, Lane* lane) {
 }
 
 workload::Channel* TrafficSource::flow_for(std::int32_t src, std::int32_t dst) {
-  assert(src >= 0 && static_cast<std::size_t>(src) < hosts_.size());
-  assert(dst >= 0 && static_cast<std::size_t>(dst) < hosts_.size());
-  assert(src != dst);
-  if (src < 0 || dst < 0 || src == dst ||
-      static_cast<std::size_t>(src) >= hosts_.size() ||
-      static_cast<std::size_t>(dst) >= hosts_.size()) {
-    return nullptr;
-  }
-  // Lane mode after install: the map is complete and lanes run
-  // concurrently, so only a read is safe (and ever needed).
-  if (!lane_states_.empty()) {
-    auto it = flows_.find({src, dst});
-    assert(it != flows_.end() && "lane-mode channel missing from pre-create");
-    return it == flows_.end() ? nullptr : it->second;
-  }
-  auto [it, inserted] = flows_.try_emplace({src, dst}, nullptr);
-  if (inserted) {
+  // install() validated the pair. Lane mode after install: every channel
+  // exists and lanes run concurrently, so this is a read.
+  workload::Channel*& channel =
+      flows_[static_cast<std::size_t>(src) * hosts_.size() +
+             static_cast<std::size_t>(dst)];
+  if (channel == nullptr) {
+    assert(lane_states_.empty() && "lane-mode channel missing from pre-create");
     workload::FlowSpec fs;
     fs.src = hosts_[static_cast<std::size_t>(src)];
     fs.dst = hosts_[static_cast<std::size_t>(dst)];
-    it->second =
-        cluster_.add_channel(fs, opts_.cc, opts_.sender, opts_.receiver);
+    channel = cluster_.add_channel(fs, opts_.cc, opts_.sender, opts_.receiver);
   }
-  return it->second;
+  return channel;
 }
 
 }  // namespace mltcp::traffic

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -63,7 +62,10 @@ class TrafficSource {
   TrafficSource& operator=(const TrafficSource&) = delete;
 
   /// Schedules the replay. Call at most once; arrivals whose time is
-  /// already past fire immediately.
+  /// already past fire immediately. Throws std::invalid_argument, naming
+  /// the arrival's index, field and value, unless every arrival has `src`
+  /// and `dst` in [0, hosts), `src != dst` and `bytes > 0`, and `at` never
+  /// decreases along the list.
   void install(std::vector<FlowArrival> arrivals);
 
   /// Convenience: generate_arrivals(cfg, hosts.size()) + install.
@@ -139,9 +141,10 @@ class TrafficSource {
   std::vector<std::unique_ptr<Lane>> lane_states_;  ///< Empty when serial.
   std::vector<char> posted_flags_;  ///< Lane mode: per-arrival posted bit.
 
-  /// Backend-owned channels, reused per ordered host pair. Lane mode:
-  /// fully populated at install(), lookup-only afterwards.
-  std::map<std::pair<std::int32_t, std::int32_t>, workload::Channel*> flows_;
+  /// Backend-owned channels, reused per ordered host pair and indexed by
+  /// `src * hosts + dst`; sized at install(), filled on first use. Lane
+  /// mode: fully populated at install(), lookup-only afterwards.
+  std::vector<workload::Channel*> flows_;
 
   /// Mutable: records() lazily compacts lane-mode placeholder slots away.
   mutable std::vector<FctRecord> records_;

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "net/queue.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/reno.hpp"
+#include "workload/cluster.hpp"
 
 namespace mltcp::net {
 namespace {
@@ -85,7 +89,8 @@ TEST(Forwarding, DenseRouteTablesAcrossNodeIdGaps) {
 // ----------------------------------------------- handler generations
 
 TEST(Forwarding, HandlerTableHandlesSparseFlowIds) {
-  Host h(0, "h");
+  FlowDemux demux;
+  Host h(0, "h", demux);
   int hits = 0;
   // Registering flow 5 first leaves slots 0..4 empty, not undefined.
   h.register_flow(5, [&](const Packet&) { ++hits; });
@@ -101,7 +106,8 @@ TEST(Forwarding, HandlerTableHandlesSparseFlowIds) {
 }
 
 TEST(Forwarding, StaleHandleCannotUnregisterReusedFlowId) {
-  Host h(0, "h");
+  FlowDemux demux;
+  Host h(0, "h", demux);
   std::string hit;
   const Host::FlowHandle a =
       h.register_flow(3, [&](const Packet&) { hit = "a"; });
@@ -128,6 +134,145 @@ TEST(Forwarding, StaleHandleCannotUnregisterReusedFlowId) {
   h.unregister_flow(Host::FlowHandle{});
   h.receive(make_pkt(0, 3));
   EXPECT_EQ(h.unclaimed_packets(), 2);
+}
+
+// The generation rule holds across hosts too: once a's endpoint of flow 9
+// is freed and another host takes it, a's next registration lands in the
+// slot's other endpoint, and a handle from a's first registration must not
+// match it.
+TEST(Forwarding, StaleHandleCannotUnregisterAfterTheIdMovesBetweenHosts) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* c = topo.add_host("c");
+  int hits = 0;
+  const Host::FlowHandle first =
+      a->register_flow(9, [&](const Packet&) { ++hits; });
+  a->unregister_flow(9);
+  c->register_flow(9, [](const Packet&) {});
+  const Host::FlowHandle second =
+      a->register_flow(9, [&](const Packet&) { ++hits; });
+  EXPECT_NE(first.gen, second.gen);
+  a->unregister_flow(first);
+  a->receive(make_pkt(a->id(), 9));
+  EXPECT_EQ(hits, 1);
+  a->unregister_flow(second);
+  a->receive(make_pkt(a->id(), 9));
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(a->unclaimed_packets(), 1);
+}
+
+TEST(Forwarding, RegisterRejectsNegativeIdsEmptyHandlersAndAThirdEndpoint) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  Host* c = topo.add_host("c");
+  // The error register_flow throws, or "" when it registers.
+  const auto error = [](Host* h, FlowId flow, Host::PacketHandler fn) {
+    try {
+      h->register_flow(flow, std::move(fn));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const Host::PacketHandler noop = [](const Packet&) {};
+  EXPECT_EQ(error(a, kInvalidFlow, noop), "host a: flow -1 is negative");
+  EXPECT_EQ(error(a, -7, noop), "host a: flow -7 is negative");
+  EXPECT_EQ(error(a, 4, nullptr), "host a: flow 4 has an empty handler");
+
+  ASSERT_EQ(error(a, 4, noop), "");
+  ASSERT_EQ(error(b, 4, noop), "");
+  EXPECT_EQ(error(c, 4, noop),
+            "host c: flow 4 already has two live endpoints, on hosts a and "
+            "b");
+  // A live endpoint may re-register, and a freed one takes a new host.
+  EXPECT_EQ(error(b, 4, noop), "");
+  a->unregister_flow(4);
+  EXPECT_EQ(error(c, 4, noop), "");
+}
+
+// A handler that opens connections while it runs: it registers enough
+// flows, on its own host and on another, to grow the shared table past a
+// chunk, then reads its captures. Growth must not move the running
+// handler (a table that reallocates frees it under the call), and the new
+// flows must deliver.
+TEST(Forwarding, HandlerOpeningFlowsWhileItRunsKeepsItsCaptures) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  Host* a = topo.add_host("a");
+  Host* b = topo.add_host("b");
+  topo.connect(*a, *b, 1e9, sim::microseconds(1),
+               make_droptail_factory(64 * 1500));
+
+  constexpr FlowId kLast = 1 + 2 * static_cast<FlowId>(FlowDemux::kChunkSize);
+  struct State {
+    Host* a;
+    Host* b;
+    int opener_runs = 0;
+    std::vector<FlowId> at_a, at_b;
+  } st{a, b, 0, {}, {}};
+  // One reference capture: it sits inside the handler object itself.
+  b->register_flow(1, [&st](const Packet&) {
+    for (FlowId f = 2; f <= kLast; ++f) {
+      st.b->register_flow(f, [&st](const Packet& p) {
+        st.at_b.push_back(p.flow);
+      });
+      st.a->register_flow(f, [&st](const Packet& p) {
+        st.at_a.push_back(p.flow);
+      });
+    }
+    ++st.opener_runs;
+  });
+  a->send(make_pkt(b->id(), 1));
+  sim.run();
+  ASSERT_EQ(st.opener_runs, 1);
+  EXPECT_GT(topo.flow_demux().slot_capacity(), FlowDemux::kChunkSize);
+
+  a->send(make_pkt(b->id(), 2));
+  a->send(make_pkt(b->id(), kLast));
+  b->send(make_pkt(a->id(), kLast));
+  sim.run();
+  EXPECT_EQ(st.at_b, (std::vector<FlowId>{2, kLast}));
+  EXPECT_EQ(st.at_a, (std::vector<FlowId>{kLast}));
+  EXPECT_EQ(a->unclaimed_packets() + b->unclaimed_packets(), 0);
+}
+
+// The demux is sized by connections, not by hosts x connections: N
+// connections between varied pairs of the 256-host leaf-spine hold at most
+// N + 1 slots (ids start at 1) rounded up to a chunk, and every one of them
+// delivers.
+TEST(Forwarding, DemuxFootprintTracksConnectionsNotHosts) {
+  sim::Simulator sim;
+  LeafSpineConfig cfg;
+  cfg.racks = 16;
+  cfg.hosts_per_rack = 16;
+  cfg.spines = 4;
+  cfg.queue = make_droptail_factory(256 * 1500);
+  LeafSpine ls = make_leaf_spine(sim, cfg);
+  const auto& hosts = ls.topology->hosts();
+  ASSERT_EQ(hosts.size(), 256u);
+
+  workload::Cluster cluster(sim);
+  constexpr std::size_t kConnections = 1000;
+  int completed = 0;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    workload::FlowSpec fs;
+    const std::size_t src = (i * 7) % hosts.size();
+    fs.src = hosts[src];
+    fs.dst = hosts[(src + 1 + i % (hosts.size() - 1)) % hosts.size()];
+    cluster
+        .add_channel(fs, [] { return std::make_unique<tcp::RenoCC>(); })
+        ->send_message(3000, [&](sim::SimTime) { ++completed; });
+  }
+  const std::size_t slots = ls.topology->flow_demux().slot_capacity();
+  EXPECT_GE(slots, kConnections + 1);
+  EXPECT_LE(slots, kConnections + 1 + FlowDemux::kChunkSize);
+
+  sim.run_until(sim::milliseconds(50));
+  EXPECT_EQ(completed, static_cast<int>(kConnections));
+  for (const Host* h : hosts) EXPECT_EQ(h->unclaimed_packets(), 0);
 }
 
 // ------------------------------------------------------- packet ring

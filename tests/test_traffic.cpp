@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -321,6 +322,166 @@ TEST(TrafficSource, TruncatedRunCountsOpenFlowsSeparately) {
   EXPECT_DOUBLE_EQ(s.max_s, fcts.front());
   EXPECT_FALSE(source.records()[1].done());
   EXPECT_LT(source.bytes_completed(), source.bytes_posted());
+}
+
+/// The std::invalid_argument message install() throws for `arrivals` on a
+/// 6-host rig, or "" when it accepts them.
+std::string install_error(std::vector<FlowArrival> arrivals) {
+  Rig rig;
+  traffic::TrafficSource source(rig.sim, rig.cluster, rig.hosts(),
+                                traffic::SourceOptions{reno(), {}, {}});
+  try {
+    source.install(std::move(arrivals));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TrafficSource, InstallRejectsSourceOutsideHosts) {
+  EXPECT_EQ(install_error({{0, 0, 1, 100}, {1, 6, 1, 100}}),
+            "traffic arrival 1: src 6 is outside [0, 6)");
+  EXPECT_EQ(install_error({{0, -1, 1, 100}}),
+            "traffic arrival 0: src -1 is outside [0, 6)");
+}
+
+TEST(TrafficSource, InstallRejectsDestinationOutsideHosts) {
+  EXPECT_EQ(install_error({{0, 0, 1, 100}, {0, 2, 3, 100}, {0, 2, 9, 100}}),
+            "traffic arrival 2: dst 9 is outside [0, 6)");
+  EXPECT_EQ(install_error({{0, 2, -3, 100}}),
+            "traffic arrival 0: dst -3 is outside [0, 6)");
+}
+
+TEST(TrafficSource, InstallRejectsSelfPairs) {
+  EXPECT_EQ(install_error({{0, 0, 1, 100}, {5, 4, 4, 100}}),
+            "traffic arrival 1: src and dst are both 4");
+}
+
+TEST(TrafficSource, InstallRejectsNonPositiveBytes) {
+  EXPECT_EQ(install_error({{0, 0, 1, 0}}),
+            "traffic arrival 0: bytes 0 is not positive");
+  EXPECT_EQ(install_error({{0, 0, 1, 100}, {0, 1, 0, -5}}),
+            "traffic arrival 1: bytes -5 is not positive");
+}
+
+TEST(TrafficSource, InstallRejectsDecreasingArrivalTimes) {
+  // Equal times are fine; a later arrival stamped earlier is not.
+  EXPECT_EQ(install_error({{7, 0, 1, 100}, {7, 1, 2, 100}}), "");
+  EXPECT_EQ(install_error({{5, 0, 1, 100}, {9, 1, 2, 100}, {8, 2, 3, 100}}),
+            "traffic arrival 2: at 8 ns is before arrival 1's 9 ns");
+}
+
+/// A backend that records the channels a source opens (in creation order)
+/// and the channel of every posted message. Messages complete at once.
+class RecordingBackend final : public workload::Backend {
+ public:
+  explicit RecordingBackend(const sim::Simulator& simulator)
+      : sim_(simulator) {}
+
+  struct Opened {
+    const net::Host* src;
+    const net::Host* dst;
+    net::FlowId id;
+    bool operator==(const Opened&) const = default;
+  };
+
+  workload::Channel* create_channel(const workload::ChannelSpec& spec) override {
+    opened.push_back(Opened{spec.src, spec.dst, spec.id});
+    channels_.push_back(std::make_unique<Recorded>(*this, spec.id));
+    return channels_.back().get();
+  }
+  const char* name() const override { return "recording"; }
+
+  std::vector<Opened> opened;
+  std::vector<net::FlowId> posts;
+
+ private:
+  class Recorded final : public workload::Channel {
+   public:
+    Recorded(RecordingBackend& backend, net::FlowId id)
+        : backend_(backend), id_(id) {}
+    void send_message(std::int64_t, Completion on_complete) override {
+      backend_.posts.push_back(id_);
+      on_complete(backend_.sim_.now());
+    }
+    net::FlowId id() const override { return id_; }
+
+   private:
+    RecordingBackend& backend_;
+    net::FlowId id_;
+  };
+
+  const sim::Simulator& sim_;
+  std::vector<std::unique_ptr<Recorded>> channels_;
+};
+
+const std::vector<FlowArrival> kPairArrivals = {
+    {sim::microseconds(1), 0, 1, 100}, {sim::microseconds(2), 1, 0, 100},
+    {sim::microseconds(3), 0, 1, 100}, {sim::microseconds(4), 4, 2, 100},
+    {sim::microseconds(5), 1, 0, 100}, {sim::microseconds(6), 2, 4, 100},
+    {sim::microseconds(6), 4, 2, 100}};
+
+TEST(TrafficSource, ChannelsAreKeyedByOrderedPairInFirstUseOrder) {
+  Rig rig;
+  RecordingBackend backend(rig.sim);
+  rig.cluster.set_backend(&backend);
+  const auto hosts = rig.hosts();
+  traffic::TrafficSource source(rig.sim, rig.cluster, hosts,
+                                traffic::SourceOptions{reno(), {}, {}});
+  source.install(kPairArrivals);
+  EXPECT_TRUE(backend.opened.empty());  // Serial replay opens lazily.
+  rig.sim.run();
+
+  // (a, b) and (b, a) are distinct channels, a repeated pair reuses its
+  // channel, and ids follow first use.
+  using O = RecordingBackend::Opened;
+  EXPECT_EQ(backend.opened,
+            (std::vector<O>{{hosts[0], hosts[1], 1}, {hosts[1], hosts[0], 2},
+                            {hosts[4], hosts[2], 3}, {hosts[2], hosts[4], 4}}));
+  EXPECT_EQ(backend.posts, (std::vector<net::FlowId>{1, 2, 1, 3, 2, 4, 3}));
+  EXPECT_EQ(source.completed(), kPairArrivals.size());
+}
+
+TEST(TrafficSource, LaneModeOpensChannelsWithTheSerialReplaysIds) {
+  Rig serial;
+  RecordingBackend serial_backend(serial.sim);
+  serial.cluster.set_backend(&serial_backend);
+  traffic::TrafficSource serial_source(serial.sim, serial.cluster,
+                                       serial.hosts(),
+                                       traffic::SourceOptions{reno(), {}, {}});
+  serial_source.install(kPairArrivals);
+  serial.sim.run();
+
+  Rig laned;
+  laned.sim.configure_shards(2);
+  RecordingBackend laned_backend(laned.sim);
+  laned.cluster.set_backend(&laned_backend);
+  const auto hosts = laned.hosts();
+  traffic::TrafficSource laned_source(laned.sim, laned.cluster, hosts,
+                                      traffic::SourceOptions{reno(), {}, {}});
+  // Odd and even hosts replay in different lanes.
+  laned_source.set_lane_map(
+      [&hosts](const net::Host* h) {
+        return static_cast<int>(std::find(hosts.begin(), hosts.end(), h) -
+                                hosts.begin()) %
+               2;
+      },
+      2);
+  laned_source.install(kPairArrivals);  // Pre-creates every channel.
+
+  ASSERT_EQ(laned_backend.opened.size(), serial_backend.opened.size());
+  const auto serial_hosts = serial.hosts();
+  const auto index = [](const std::vector<net::Host*>& hs,
+                        const net::Host* h) {
+    return std::find(hs.begin(), hs.end(), h) - hs.begin();
+  };
+  for (std::size_t i = 0; i < laned_backend.opened.size(); ++i) {
+    const auto& l = laned_backend.opened[i];
+    const auto& s = serial_backend.opened[i];
+    EXPECT_EQ(l.id, s.id);
+    EXPECT_EQ(index(hosts, l.src), index(serial_hosts, s.src));
+    EXPECT_EQ(index(hosts, l.dst), index(serial_hosts, s.dst));
+  }
 }
 
 // ------------------------------------------------------------------- jobs
