@@ -4,8 +4,9 @@
 #
 #  1. Determinism — a quick leaf-spine campaign run at 1 shard and at
 #     N shards must produce byte-identical cluster_scale_sim.csv files
-#     (the sim-deterministic view: job/link/host/switch state digest,
-#     no wall-clock or RSS columns). Any divergence fails the gate.
+#     (the sim-deterministic view: events executed and the job/link/host/
+#     switch state digest, no wall-clock or RSS columns). A sharded run
+#     that reaches the serial state by different work fails the gate too.
 #  2. Speedup — on a host with >= N cores the N-shard run must beat the
 #     serial run by SPEEDUP_FLOOR in wall time over the leaf-spine points.
 #     On smaller hosts (CI runners are often 1-2 cores) the executor falls
@@ -13,14 +14,14 @@
 #     than 1/OVERHEAD_CEIL" — the gate then only bounds sharding overhead.
 #
 # Usage: bench/check_shard_speedup.sh [N]   (default 4 shards)
-# Env:   BUILD_DIR, SPEEDUP_FLOOR (default 2.0), OVERHEAD_CEIL (default 1.4)
+# Env:   BUILD_DIR (default build/)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
 SHARDS="${1:-4}"
-SPEEDUP_FLOOR="${SPEEDUP_FLOOR:-2.0}"
-OVERHEAD_CEIL="${OVERHEAD_CEIL:-1.4}"
+SPEEDUP_FLOOR=2.0
+OVERHEAD_CEIL=1.4
 BIN="$BUILD/bench/cluster_scale"
 
 if [ ! -x "$BIN" ]; then
@@ -45,10 +46,12 @@ echo "== determinism: byte-diff of sim-deterministic CSVs =="
 if ! diff -u "$TMP/serial/cluster_scale_sim.csv" \
              "$TMP/sharded/cluster_scale_sim.csv"; then
   echo "SHARD GATE FAILED: $SHARDS-shard run diverged from serial (digest or"
-  echo "sim-state mismatch above) — the PDES determinism guarantee is broken."
+  echo "event-count mismatch above) — the PDES determinism guarantee is"
+  echo "broken."
   exit 1
 fi
-echo "identical: serial and $SHARDS-shard runs reached the same model state"
+echo "identical: serial and $SHARDS-shard runs did the same work and reached"
+echo "the same model state"
 
 # Wall-time comparison over the leaf-spine points (the only scenarios the
 # sharded path executes; dumbbell rows stay serial in both runs).

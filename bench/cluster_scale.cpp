@@ -27,10 +27,12 @@
 //                                  (dumbbell | leafspine)
 //   cluster_scale --shards=N       run the leaf-spine sweep on the sharded
 //                                  PDES engine (N shards, one worker thread
-//                                  each). Model state is byte-identical
-//                                  at every shard count — the `digest` field
-//                                  and the cluster_scale_sim.csv rows must
-//                                  not change with N, only wall time does.
+//                                  each). Model state and work are
+//                                  identical at every shard count — the
+//                                  `digest` and `events` fields and the
+//                                  cluster_scale_sim.csv rows must not
+//                                  change with N; wall time and the PDES
+//                                  counters do.
 //                                  Dumbbell scenarios stay serial (a 2-node
 //                                  core offers no useful cut).
 //   cluster_scale --jobs=N         add one leaf-spine point with N jobs (a
@@ -64,11 +66,7 @@ using namespace mltcp;
 /// 1.5x what dumbbell-2, dumbbell-8 and leaf-spine-8 measured serially once
 /// a hop became one event (a delivery pushed when serialization starts).
 /// Reverting that fails both dumbbell ceilings (70,739.2 and 111,901.1
-/// events per transfer), but not leaf-spine-8's (26,620.0). Event counts
-/// depend on the shard count, since a cut link keeps one tx-done event per
-/// packet: leaf-spine-8 reads 18,799.0 serially and 20,229.3 at 4 shards,
-/// both under its ceiling, so the tier-1 ctest `cluster_scale --quick`
-/// holds on any host.
+/// events per transfer), but not leaf-spine-8's (26,620.0).
 constexpr double kQuickDumbbell2Ceiling = 1.5 * 41'768.4;
 constexpr double kQuickDumbbell8Ceiling = 1.5 * 67'165.1;
 constexpr double kQuickLeafSpine8Ceiling = 1.5 * 18'799.0;
@@ -417,15 +415,18 @@ int main(int argc, char** argv) {
               std::to_string(r.stalls), digest_hex});
   }
 
-  // Simulation-deterministic companion CSV: the digest and the point it
-  // belongs to, with no wall time or RSS. The shard-speedup gate byte-diffs
-  // this file across shard counts.
-  auto sim_csv = bench::open_csv("cluster_scale_sim",
-                                 {"name", "jobs", "flows", "sim_s", "digest"});
+  // Simulation-deterministic companion CSV: the point, its events and its
+  // digest, with no wall time or RSS. The shard-speedup gate byte-diffs
+  // this file across shard counts, so a sharded run must reach the serial
+  // state by the serial run's work.
+  auto sim_csv = bench::open_csv(
+      "cluster_scale_sim", {"name", "jobs", "flows", "sim_s", "events",
+                            "digest"});
   for (const RunResult& r : results) {
     std::snprintf(digest_hex, sizeof digest_hex, "%016" PRIx64, r.digest);
     sim_csv->row({r.name, std::to_string(r.jobs), std::to_string(r.flows),
-                  std::to_string(r.sim_s), digest_hex});
+                  std::to_string(r.sim_s), std::to_string(r.events),
+                  digest_hex});
   }
   return status;
 }

@@ -45,8 +45,7 @@ void Link::send(const Packet& pkt) {
     }
     return;
   }
-  // The first packet to wait behind the transmitter arms its tx-done (a
-  // cut link's is already armed).
+  // The first packet to wait behind the transmitter arms its tx-done.
   if (queue_->enqueue(pkt, sim_.now()) && !tx_timer_.pending()) {
     tx_timer_.arm_at(busy_until_);
   }
@@ -64,33 +63,32 @@ void Link::start_transmission(const Packet& pkt) {
   bytes_tx_ += pkt.size_bytes;
   ++packets_tx_;
   tx_pkt_ = pkt;
+  // The delivery's time and its canonical tiebreak key are known now. A cut
+  // link hands both to its sink; a local link pushes the event at that key,
+  // so the sharded import merge and the serial queue share one total order.
+  const sim::SimTime when = busy_until_ + prop_delay_;
+  const std::uint64_t key = delivery_key(delivery_seq_++);
   if (delivery_sink_ != nullptr) {
-    tx_timer_.arm_at(busy_until_);  // Hands the packet off when it ends.
+    delivery_sink_->deliver(when, key, dst_, pkt);
     return;
   }
-  // Push the delivery now, at the link's canonical tiebreak key (the same
-  // wire-FIFO key a cut link's handoff carries, so the sharded import merge
-  // and the serial queue share one total order). Each packet in flight is
-  // its own event, so the closure carries the packet by value — it must
-  // stay within the inline-callback budget or every hop would
-  // heap-allocate (the engine's dominant cost before this design).
+  // Each packet in flight is its own event, so the closure carries the
+  // packet by value — it must stay within the inline-callback budget or
+  // every hop would heap-allocate (the engine's dominant cost before this
+  // design).
   auto deliver = [dst = dst_, pkt] { dst->receive(pkt); };
   static_assert(sizeof(deliver) <= sim::kInlineCallbackCapacity,
                 "propagation closure outgrew the inline-callback budget");
   delivery_queue_ = &sim_.event_queue();
-  delivery_id_ = delivery_queue_->schedule_keyed(
-      busy_until_ + prop_delay_, next_delivery_key(), std::move(deliver));
+  delivery_id_ =
+      delivery_queue_->schedule_keyed(when, key, std::move(deliver));
 }
 
 void Link::on_transmission_done() {
-  if (delivery_sink_ != nullptr) {
-    delivery_sink_->deliver(sim_.now() + prop_delay_, next_delivery_key(),
-                            dst_, tx_pkt_);
-  }
   auto next = queue_->dequeue(sim_.now());
   if (!next.has_value()) return;
   start_transmission(*next);
-  if (!tx_timer_.pending() && !queue_->empty()) tx_timer_.arm_at(busy_until_);
+  if (!queue_->empty()) tx_timer_.arm_at(busy_until_);
 }
 
 void Link::set_up(bool up) {
@@ -101,9 +99,11 @@ void Link::set_up(bool up) {
   if (busy()) {
     const sim::SimTime now = sim_.now();
     tx_timer_.cancel();
-    if (delivery_sink_ == nullptr) {
+    --delivery_seq_;  // Its wire ordinal goes to the next packet.
+    if (delivery_sink_ != nullptr) {
+      delivery_sink_->retract(delivery_key(delivery_seq_));
+    } else {
       delivery_queue_->cancel(delivery_id_);
-      --delivery_seq_;  // Its wire ordinal goes to the next packet.
     }
     bytes_tx_ -= tx_pkt_.size_bytes;
     --packets_tx_;

@@ -16,22 +16,24 @@ class Node;
 
 /// Cross-shard egress seam for sharded (PDES) execution: when a link's
 /// destination lives in a different shard than its source, the coordinator
-/// installs a sink. Such a cut link keeps a tx-done event for every packet
-/// and hands the packet to the sink when its serialization ends, where a
-/// local link pushes its delivery event when serialization starts (pushing
-/// cross-shard deliveries that early would need a way to retract one when a
-/// cut lands mid-serialization). `when` is the delivery timestamp
-/// (serialization end + propagation delay), which is strictly increasing per
-/// link because serialization time is positive — the monotonicity the
-/// conservative synchronization protocol relies on. `key` is the link's
-/// canonical delivery key for this packet — the same value the serial
-/// engine would use as the event's tiebreak, so the consumer shard can merge
-/// imports against its local queue in exactly the serial total order.
+/// installs a sink. Such a cut link hands each packet to the sink when its
+/// serialization starts, the instant a local link pushes its delivery event.
+/// `when` is the delivery timestamp (serialization end + propagation delay),
+/// which is strictly increasing per link because serialization time is
+/// positive — the monotonicity the conservative synchronization protocol
+/// relies on. `key` is the link's canonical delivery key for this packet —
+/// the same value the serial engine would use as the event's tiebreak, so
+/// the consumer shard can merge imports against its local queue in exactly
+/// the serial total order.
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
   virtual void deliver(sim::SimTime when, std::uint64_t key, Node* dst,
                        const Packet& pkt) = 0;
+  /// Withdraws the newest delivery, keyed `key`: a cut lost the packet
+  /// still serializing. Cuts apply at a global barrier with every shard
+  /// parked, and the delivery is due after the barrier, so it has not run.
+  virtual void retract(std::uint64_t key) = 0;
 };
 
 /// Unidirectional point-to-point link: a serializing transmitter feeding a
@@ -43,8 +45,8 @@ class DeliverySink {
 /// transmitter is busy through `busy_until_`, the instant serialization
 /// ends; the tx-done timer is armed at that instant only while packets wait
 /// behind it, so a packet that finds the transmitter idle costs no second
-/// event. Cut links in sharded runs keep a tx-done per packet (see
-/// DeliverySink).
+/// event. A cut link in a sharded run hands the delivery to its DeliverySink
+/// at the same instant instead.
 class Link {
  public:
   /// Called for every packet as it begins transmission; used for bandwidth
@@ -124,39 +126,33 @@ class Link {
   /// Telemetry track id (track_link namespace) shared with the queue.
   std::uint64_t trace_track() const { return track_; }
 
-  /// Routes finished transmissions to `sink` (cross-shard delivery) instead
-  /// of the local event queue; null restores local delivery. Installed by
-  /// the PDES coordinator on cut links only, before the run starts; removing
-  /// it ends the run (a packet on the transmitter then is not delivered).
+  /// Routes deliveries to `sink` (cross-shard delivery) instead of the
+  /// local event queue; null restores local delivery. Installed by the PDES
+  /// coordinator on cut links only, before the run starts; removing it ends
+  /// the run (a delivery the sink holds then never runs).
   void set_delivery_sink(DeliverySink* sink) { delivery_sink_ = sink; }
-  DeliverySink* delivery_sink() const { return delivery_sink_; }
 
  private:
   void start_transmission(const Packet& pkt);
   void on_transmission_done();
   double next_fault_uniform();
 
-  /// A packet holds the transmitter. A local link's holds it through the
-  /// instant its serialization ends, so an arrival at that instant queues
-  /// and the tx-done serves it after the instant's deliveries, in the order
-  /// a tx-done per packet gave. A cut link's holds it until its tx-done
-  /// hands it to the sink.
-  bool busy() const {
-    return delivery_sink_ == nullptr ? sim_.now() <= busy_until_
-                                     : tx_timer_.pending();
-  }
+  /// A packet holds the transmitter through the instant its serialization
+  /// ends, so an arrival at that instant queues and the tx-done serves it
+  /// after the instant's deliveries, in the order a tx-done per packet gave.
+  bool busy() const { return sim_.now() <= busy_until_; }
   /// The packet on the transmitter has not finished serializing.
   bool serializing() const { return sim_.now() < busy_until_; }
 
-  /// Canonical tiebreak key of the next delivery: (link rank + 1) << 40 |
+  /// Canonical tiebreak key of wire ordinal `seq`: (link rank + 1) << 40 |
   /// per-link FIFO ordinal. Below EventQueue::kOrdinalBand, so at equal
   /// timestamps deliveries run before ordinary events, ordered among
   /// themselves by link construction order then wire order — a total order
   /// that depends only on the model, never on scheduling history, which is
   /// what lets sharded runs reproduce serial output bit-for-bit (the
   /// serial FIFO ordinal is partition-dependent; this key is not).
-  std::uint64_t next_delivery_key() {
-    return (static_cast<std::uint64_t>(rank_) + 1) << 40 | delivery_seq_++;
+  std::uint64_t delivery_key(std::uint64_t seq) const {
+    return (static_cast<std::uint64_t>(rank_) + 1) << 40 | seq;
   }
 
   sim::Simulator& sim_;
@@ -171,7 +167,7 @@ class Link {
   DeliverySink* delivery_sink_ = nullptr;
 
   /// Tx-done at `busy_until_`: armed only while packets wait behind the
-  /// transmitter (for every packet on a cut link), rearmed in place.
+  /// transmitter, rearmed in place.
   sim::Timer tx_timer_;
   Packet tx_pkt_{};  ///< The packet on the transmitter, or the last one.
   /// Instant the packet in `tx_pkt_` finishes serializing.

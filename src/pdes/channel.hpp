@@ -1,7 +1,9 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -66,7 +68,7 @@ class ShardSignal {
 /// canonical (when, key) order.
 struct Delivery {
   sim::SimTime when = 0;  ///< Delivery time at the destination node.
-  /// The link's canonical tiebreak key (Link::next_delivery_key) — the exact
+  /// The link's canonical tiebreak key (Link::delivery_key) — the exact
   /// key the delivery event would carry in the serial queue, making the
   /// import merge reproduce the serial total order at equal timestamps.
   std::uint64_t key = 0;
@@ -77,38 +79,31 @@ struct Delivery {
 /// SPSC channel for one cut link: the source shard pushes deliveries and
 /// advances the destination shard's lower bound on timestamp (LBTS — the
 /// null-message payload of conservative synchronization); the destination
-/// shard drains. Exactly one producer (the shard executing the link's
-/// source node) and one consumer exist by construction, but the
-/// implementation is a plain mutex-protected vector swap — simple to reason
-/// about under TSan, and uncontended in cooperative mode.
+/// shard drains them into the channel's import buffer and executes them
+/// from there. Exactly one producer (the shard executing the link's source
+/// node) and one consumer exist by construction, but the inbox is a plain
+/// mutex-protected vector — simple to reason about under TSan, and
+/// uncontended in cooperative mode.
 ///
-/// Installed on the link as its DeliverySink, so Link::on_transmission_done
-/// routes finished transmissions here instead of scheduling the
-/// propagation-delivery event locally.
+/// Installed on the link as its DeliverySink: Link::start_transmission
+/// hands each packet here when its serialization starts, and a cut during
+/// that serialization retracts it.
 class CrossShardChannel final : public net::DeliverySink {
  public:
-  CrossShardChannel(net::Link* link, int src_shard, int dst_shard, int rank)
-      : link_(link), src_shard_(src_shard), dst_shard_(dst_shard),
-        rank_(rank) {}
+  explicit CrossShardChannel(net::Link* link) : link_(link) {}
 
   net::Link* link() const { return link_; }
-  int src_shard() const { return src_shard_; }
-  int dst_shard() const { return dst_shard_; }
-  /// Position in the partition's deterministic cut-link order (wiring /
-  /// diagnostics only — merge order comes from each Delivery's key).
-  int rank() const { return rank_; }
 
   // -- Producer side (source shard) ----------------------------------------
 
-  /// net::DeliverySink: called from Link::on_transmission_done with the
-  /// delivery timestamp (transmission end + propagation delay) and the
+  /// net::DeliverySink: called from Link::start_transmission with the
+  /// delivery timestamp (serialization end + propagation delay) and the
   /// link's canonical tiebreak key.
   void deliver(sim::SimTime when, std::uint64_t key, net::Node* dst,
                const net::Packet& pkt) override {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       inbox_.push_back(Delivery{when, key, dst, pkt});
-      ++pushes_;
       if (inbox_.size() > max_backlog_) max_backlog_ = inbox_.size();
     }
     // A push IS an LBTS advance (per-channel streams are time-monotone), so
@@ -116,10 +111,18 @@ class CrossShardChannel final : public net::DeliverySink {
     advance(when);
   }
 
+  /// net::DeliverySink: the newest delivery sits unexecuted at the back of
+  /// the inbox or, once drained, of the import buffer.
+  void retract([[maybe_unused]] std::uint64_t key) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<Delivery>& newest = inbox_.empty() ? imports_ : inbox_;
+    assert(newest.size() > (inbox_.empty() ? head_ : 0) &&
+           newest.back().key == key && "retract of a delivery not held");
+    newest.pop_back();
+  }
+
   /// Null message: promises the consumer that every future delivery on this
-  /// channel has `when >= lbts` (equality is possible: a transmission-done
-  /// event sitting exactly at the producer's frontier delivers at frontier +
-  /// propagation). The consumer therefore executes strictly below its
+  /// channel has `when >= lbts`, so the consumer executes strictly below its
   /// inbound LBTS minimum. Monotone; a no-op advance neither counts nor
   /// notifies.
   void advance(sim::SimTime lbts) {
@@ -137,15 +140,27 @@ class CrossShardChannel final : public net::DeliverySink {
 
   // -- Consumer side (destination shard) -----------------------------------
 
-  /// Appends everything pushed since the last drain, in push (= time)
-  /// order. Returns the number of deliveries moved.
-  std::size_t drain(std::vector<Delivery>& out) {
+  /// Appends everything pushed since the last drain to the import buffer,
+  /// in push (= time) order. Returns the number of deliveries moved.
+  std::size_t drain() {
+    // Drop the executed prefix on every drain, not only once the buffer is
+    // empty: a cut link hands each delivery over its serialization plus
+    // propagation time before it is due, so the buffer is seldom empty and
+    // would otherwise grow with every delivery of the run.
+    imports_.erase(imports_.begin(),
+                   imports_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
     std::lock_guard<std::mutex> lock(mutex_);
     const std::size_t n = inbox_.size();
-    for (Delivery& d : inbox_) out.push_back(std::move(d));
+    for (Delivery& d : inbox_) imports_.push_back(std::move(d));
     inbox_.clear();
     return n;
   }
+
+  /// The drained deliveries not yet executed, oldest first.
+  bool empty() const { return head_ == imports_.size(); }
+  const Delivery& front() const { return imports_[head_]; }
+  void pop() { ++head_; }
 
   sim::SimTime lbts() const { return lbts_.load(std::memory_order_acquire); }
 
@@ -162,7 +177,6 @@ class CrossShardChannel final : public net::DeliverySink {
 
   // -- Telemetry ------------------------------------------------------------
 
-  std::uint64_t pushes() const { return pushes_; }
   std::uint64_t null_updates() const {
     return null_updates_.load(std::memory_order_relaxed);
   }
@@ -170,14 +184,13 @@ class CrossShardChannel final : public net::DeliverySink {
 
  private:
   net::Link* link_;
-  int src_shard_;
-  int dst_shard_;
-  int rank_;
 
   std::mutex mutex_;
   std::vector<Delivery> inbox_;   ///< Guarded by mutex_.
   std::size_t max_backlog_ = 0;   ///< Guarded by mutex_.
-  std::uint64_t pushes_ = 0;      ///< Guarded by mutex_; read after runs.
+  /// Consumer-owned: drained deliveries, executed from `head_` on.
+  std::vector<Delivery> imports_;
+  std::size_t head_ = 0;
   std::atomic<sim::SimTime> lbts_{0};
   std::atomic<std::uint64_t> null_updates_{0};
   ShardSignal* consumer_signal_ = nullptr;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace mltcp::pdes {
 
@@ -127,8 +129,12 @@ Partition partition_topology(const net::Topology& topo,
     for (const auto& [dst, link] : adjacency[src]) {
       const int dst_shard = out.shard_of_node[static_cast<std::size_t>(dst)];
       if (src_shard == dst_shard) continue;
-      assert(link->propagation_delay() > 0 &&
-             "cut links need positive propagation delay (lookahead)");
+      if (link->propagation_delay() <= 0) {
+        throw std::invalid_argument(
+            "partition_topology: cut link " + link->name() + " has delay " +
+            std::to_string(link->propagation_delay()) +
+            " ns; a cut link needs positive propagation delay (lookahead)");
+      }
       out.cut_links.push_back(CutLink{link, src_shard, dst_shard});
       out.min_lookahead =
           std::min(out.min_lookahead, link->propagation_delay());
@@ -155,12 +161,15 @@ std::vector<std::vector<const net::Node*>> co_locate_senders(
 void start_all_sharded(workload::Cluster& cluster,
                        const std::vector<workload::JobSpec>& specs,
                        sim::Simulator& simulator, const Partition& partition) {
-  assert(specs.size() == cluster.job_count() &&
-         "specs must list the cluster's jobs in add order");
+  if (specs.size() != cluster.job_count()) {
+    throw std::invalid_argument(
+        "start_all_sharded: " + std::to_string(specs.size()) +
+        " spec(s) for " + std::to_string(cluster.job_count()) +
+        " job(s); specs must list the cluster's jobs in add order");
+  }
   for (std::size_t i = 0; i < cluster.job_count(); ++i) {
     int shard = 0;
-    if (i < specs.size() && !specs[i].flows.empty() &&
-        specs[i].flows.front().src != nullptr) {
+    if (!specs[i].flows.empty() && specs[i].flows.front().src != nullptr) {
       shard = partition.shard_of(specs[i].flows.front().src);
     }
     sim::Simulator::ShardGuard guard(simulator, shard);

@@ -25,9 +25,9 @@ struct PartitionOptions {
 
 /// A directed link whose source and destination nodes live in different
 /// shards. Its propagation delay is the guaranteed lookahead across that
-/// boundary: a delivery handed off at transmission end arrives
-/// `propagation_delay` later, so the source shard can always promise the
-/// destination shard that much simulated-time slack.
+/// boundary: a delivery handed off when serialization starts arrives at
+/// least `propagation_delay` later, so the source shard can always promise
+/// the destination shard that much simulated-time slack.
 struct CutLink {
   net::Link* link = nullptr;
   int src_shard = 0;
@@ -59,8 +59,8 @@ struct Partition {
 /// construction-order tiebreaks) onto the requested shards.
 ///
 /// Every cut link must have strictly positive propagation delay — that is
-/// what makes conservative synchronization deadlock-free — enforced by
-/// assert.
+/// what makes conservative synchronization deadlock-free; throws
+/// std::invalid_argument naming the first cut link without it.
 Partition partition_topology(const net::Topology& topo,
                              const PartitionOptions& options);
 
@@ -74,7 +74,7 @@ std::vector<std::vector<const net::Node*>> co_locate_senders(
 /// sender host (co_locate_senders guarantees all of a job's senders share
 /// it, and flow completion fires sender-side, so the whole job state
 /// machine stays on that shard). `specs` must list the cluster's jobs in
-/// add order.
+/// add order; throws std::invalid_argument when the counts differ.
 void start_all_sharded(workload::Cluster& cluster,
                        const std::vector<workload::JobSpec>& specs,
                        sim::Simulator& simulator, const Partition& partition);

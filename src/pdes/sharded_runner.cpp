@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace mltcp::pdes {
@@ -28,11 +30,18 @@ bool import_before(const Delivery& a, const Delivery& b) {
 ShardedRunner::ShardedRunner(sim::Simulator& simulator, net::Topology& topo,
                              const Partition& partition, Mode mode)
     : sim_(simulator), topo_(topo), mode_(mode) {
-  assert(simulator.shard_count() == partition.shards &&
-         "configure_shards(partition.shards) must run before the runner");
-  assert(simulator.tracer() == nullptr &&
-         "tracing is a serial-mode feature; detach the tracer for sharded "
-         "runs");
+  if (simulator.shard_count() != partition.shards) {
+    throw std::invalid_argument(
+        "ShardedRunner: the simulator has " +
+        std::to_string(simulator.shard_count()) + " shard(s), the partition " +
+        std::to_string(partition.shards) +
+        "; call configure_shards(partition.shards) first");
+  }
+  if (simulator.tracer() != nullptr) {
+    throw std::invalid_argument(
+        "ShardedRunner: tracing is a serial-mode feature; detach the tracer "
+        "for sharded runs");
+  }
 
   shards_.reserve(static_cast<std::size_t>(partition.shards));
   for (int i = 0; i < partition.shards; ++i) {
@@ -43,13 +52,11 @@ ShardedRunner::ShardedRunner(sim::Simulator& simulator, net::Topology& topo,
   }
 
   channels_.reserve(partition.cut_links.size());
-  for (std::size_t rank = 0; rank < partition.cut_links.size(); ++rank) {
-    const CutLink& cut = partition.cut_links[rank];
-    auto channel = std::make_unique<CrossShardChannel>(
-        cut.link, cut.src_shard, cut.dst_shard, static_cast<int>(rank));
+  for (const CutLink& cut : partition.cut_links) {
+    auto channel = std::make_unique<CrossShardChannel>(cut.link);
     Shard& dst = *shards_[static_cast<std::size_t>(cut.dst_shard)];
     channel->set_consumer_signal(&dst.signal);
-    dst.inbound.push_back(Inbound{channel.get(), {}, 0});
+    dst.inbound.push_back(channel.get());
     shards_[static_cast<std::size_t>(cut.src_shard)]->outbound.push_back(
         channel.get());
     cut.link->set_delivery_sink(channel.get());
@@ -73,19 +80,13 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
   // let a concurrent push-then-advance slip in between, and the shard would
   // run local work past a delivery it never saw.
   sim::SimTime lbts_min = sim::kTimeInfinity;
-  for (const Inbound& in : s.inbound) {
-    lbts_min = std::min(lbts_min, in.channel->lbts());
+  for (const CrossShardChannel* in : s.inbound) {
+    lbts_min = std::min(lbts_min, in->lbts());
   }
 
   // Pull everything neighbours pushed since the last quantum. Per-channel
   // order is time order, so appending preserves the stream.
-  for (Inbound& in : s.inbound) {
-    if (in.head > 0 && in.head == in.pending.size()) {
-      in.pending.clear();
-      in.head = 0;
-    }
-    in.channel->drain(in.pending);
-  }
+  for (CrossShardChannel* in : s.inbound) in->drain();
 
   sim::SimTime now_limit =
       std::min(bound, lbts_min == sim::kTimeInfinity ? sim::kTimeInfinity
@@ -95,11 +96,11 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
   sim::EventQueue& queue = s.ctx->queue;
   for (;;) {
     // Head of the merged import stream (canonical cross-channel order).
-    Inbound* best = nullptr;
-    for (Inbound& in : s.inbound) {
-      if (in.empty()) continue;
-      if (best == nullptr || import_before(in.front(), best->front())) {
-        best = &in;
+    CrossShardChannel* best = nullptr;
+    for (CrossShardChannel* in : s.inbound) {
+      if (in->empty()) continue;
+      if (best == nullptr || import_before(in->front(), best->front())) {
+        best = in;
       }
     }
     if (best == nullptr || best->front().when > now_limit) {
@@ -125,12 +126,11 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
     assert(d.when >= s.ctx->now && "causality violation on import");
     s.ctx->now = d.when;
     d.dst->receive(d.pkt);
-    ++best->head;
+    best->pop();
     ++s.ctx->executed;
     ++s.stats.imports;
     ++executed;
   }
-  s.stats.events += executed;
 
   // Publish the new frontier: nothing this shard will ever emit on a cut
   // link can arrive before (earliest thing it might still execute) + that
@@ -139,8 +139,8 @@ bool ShardedRunner::pump(Shard& s, sim::SimTime bound) {
   // deliveries yet to be pushed).
   sim::SimTime front = lbts_min;
   if (!queue.empty()) front = std::min(front, queue.next_time());
-  for (const Inbound& in : s.inbound) {
-    if (!in.empty()) front = std::min(front, in.front().when);
+  for (const CrossShardChannel* in : s.inbound) {
+    if (!in->empty()) front = std::min(front, in->front().when);
   }
   const bool moved = front != s.front;
   if (moved) {
@@ -165,13 +165,13 @@ void ShardedRunner::reset_frontiers() {
     if (!s.ctx->queue.empty()) {
       global_min = std::min(global_min, s.ctx->queue.next_time());
     }
-    for (Inbound& in : s.inbound) {
+    for (CrossShardChannel* in : s.inbound) {
       // Deliveries can sit pushed-but-undrained past a phase end (their
       // timestamps exceed the old bound); pull them in so the minimum sees
       // every pending event in the system. All shards are parked, so the
       // consumer-side drain is safe from this thread.
-      in.channel->drain(in.pending);
-      if (!in.empty()) global_min = std::min(global_min, in.front().when);
+      in->drain();
+      if (!in->empty()) global_min = std::min(global_min, in->front().when);
     }
   }
   for (const auto& channel : channels_) {
@@ -199,11 +199,14 @@ void ShardedRunner::run_phase_cooperative(sim::SimTime bound) {
       }
     }
     if (done) return;
-    // A full no-progress round with unfinished shards would mean the LBTS
-    // fixed point stopped short of the bound — impossible while the
+    // A full no-progress round with unfinished shards means the LBTS fixed
+    // point stopped short of the bound — impossible while the
     // minimum-frontier shard is always executable (positive lookahead).
-    assert(progress && "conservative synchronization stalled below bound");
-    if (!progress) return;
+    if (!progress) {
+      throw std::logic_error(
+          "ShardedRunner: conservative synchronization stalled below t=" +
+          std::to_string(bound) + " ns (a cut link without lookahead?)");
+    }
   }
 }
 
@@ -278,10 +281,10 @@ void ShardedRunner::run_until(sim::SimTime deadline) {
     for (const CrossShardChannel* out : shards_[i]->outbound) {
       st.null_updates += out->null_updates();
     }
-    for (const Inbound& in : shards_[i]->inbound) {
+    for (const CrossShardChannel* in : shards_[i]->inbound) {
       st.max_inbound_backlog = std::max(
           st.max_inbound_backlog,
-          static_cast<std::uint64_t>(in.channel->max_backlog()));
+          static_cast<std::uint64_t>(in->max_backlog()));
     }
     stats_[i] = st;
   }
@@ -290,7 +293,6 @@ void ShardedRunner::run_until(sim::SimTime deadline) {
 ShardStats ShardedRunner::totals() const {
   ShardStats total;
   for (const ShardStats& s : stats_) {
-    total.events += s.events;
     total.imports += s.imports;
     total.null_updates += s.null_updates;
     total.stalls += s.stalls;
@@ -304,7 +306,7 @@ void ShardedRunner::export_metrics(telemetry::MetricRegistry& registry) const {
   for (std::size_t i = 0; i < stats_.size(); ++i) {
     const std::string prefix = "pdes/shard" + std::to_string(i) + "/";
     registry.counter(prefix + "events").add(
-        static_cast<std::int64_t>(stats_[i].events));
+        static_cast<std::int64_t>(shards_[i]->ctx->executed));
     registry.counter(prefix + "imports").add(
         static_cast<std::int64_t>(stats_[i].imports));
     registry.counter(prefix + "null_updates").add(

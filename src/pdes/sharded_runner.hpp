@@ -16,7 +16,6 @@ namespace mltcp::pdes {
 
 /// Per-shard execution counters for one run.
 struct ShardStats {
-  std::uint64_t events = 0;        ///< Executed: local pops + imports.
   std::uint64_t imports = 0;       ///< Cross-shard deliveries executed.
   std::uint64_t null_updates = 0;  ///< LBTS advances published outbound.
   std::uint64_t stalls = 0;        ///< Blocked waits / no-progress rounds.
@@ -35,7 +34,7 @@ struct ShardStats {
 /// inbound delivery streams. Every event carries a 64-bit tiebreak key and
 /// executes in (when, key) order; delivery events use a canonical key that
 /// depends only on the model (link construction rank + wire FIFO ordinal,
-/// below EventQueue::kOrdinalBand — see Link::next_delivery_key), identical
+/// below EventQueue::kOrdinalBand — see Link::delivery_key), identical
 /// whether the delivery travels through the local queue or a cross-shard
 /// channel. Imports therefore merge against local work in exactly the
 /// serial engine's total order, and the remaining ordinal-keyed events are
@@ -55,17 +54,19 @@ struct ShardStats {
 /// kAuto picks threaded when the host has at least as many cores as shards
 /// would use (>= 2), cooperative otherwise.
 ///
-/// Limitations (asserted): no tracer may be attached to the simulator
-/// (Perfetto export remains a serial-mode guarantee), and a scenario must
-/// be switched to manual replay (set_manual_replay) so its events apply at
-/// global barriers between phases instead of on a single shard's timer.
+/// Limitations: no tracer may be attached to the simulator (Perfetto export
+/// remains a serial-mode guarantee; the constructor throws), and a scenario
+/// must be switched to manual replay (set_manual_replay) so its events
+/// apply at global barriers between phases instead of on a single shard's
+/// timer.
 class ShardedRunner {
  public:
   enum class Mode { kAuto, kCooperative, kThreaded };
 
   /// Installs delivery sinks on every cut link. The partition must have
   /// been computed against `topo`, and the simulator must already be
-  /// configured with `partition.shards` contexts (configure_shards).
+  /// configured with `partition.shards` contexts (configure_shards);
+  /// throws std::invalid_argument otherwise, or when a tracer is attached.
   ShardedRunner(sim::Simulator& simulator, net::Topology& topo,
                 const Partition& partition, Mode mode = Mode::kAuto);
   /// Uninstalls the sinks, restoring local delivery.
@@ -93,23 +94,12 @@ class ShardedRunner {
   void export_metrics(telemetry::MetricRegistry& registry) const;
 
  private:
-  /// Consumer-side view of one inbound channel: drained deliveries pending
-  /// execution, in per-channel FIFO (= time) order.
-  struct Inbound {
-    CrossShardChannel* channel = nullptr;
-    std::vector<Delivery> pending;
-    std::size_t head = 0;
-
-    bool empty() const { return head >= pending.size(); }
-    const Delivery& front() const { return pending[head]; }
-  };
-
   /// Held by unique_ptr: the embedded ShardSignal (mutex + condvar) pins
   /// the address, and worker threads keep references across the run.
   struct Shard {
     int index = 0;
     sim::Simulator::ShardContext* ctx = nullptr;
-    std::vector<Inbound> inbound;
+    std::vector<CrossShardChannel*> inbound;
     std::vector<CrossShardChannel*> outbound;
     ShardSignal signal;
     ShardStats stats;
@@ -130,7 +120,9 @@ class ShardedRunner {
   /// are at rest.
   void reset_frontiers();
 
-  /// Runs all shards until every frontier exceeds `bound` (inclusive).
+  /// Runs all shards until every frontier exceeds `bound` (inclusive). The
+  /// cooperative scheduler throws std::logic_error if a full round makes no
+  /// progress (the fixed point stopped short of the bound).
   void run_phase(sim::SimTime bound);
   void run_phase_cooperative(sim::SimTime bound);
   void run_phase_threaded(sim::SimTime bound);

@@ -1,6 +1,7 @@
 // Allocation accounting for the event engine: after warmup, the
-// schedule/fire, timer-rearm and cancel cycles must not touch the heap at
-// all. Counts every global operator new by replacing it, so any hidden
+// schedule/fire, timer-rearm and cancel cycles, the forwarding path and a
+// cross-shard channel's import buffer must not touch the heap at all.
+// Counts every global operator new by replacing it, so any hidden
 // allocation on the hot path — a std::function fallback, a node-based
 // container, a vector regrowth — fails the test instead of shipping as a
 // per-event cost. Under AddressSanitizer, which owns operator new and
@@ -18,6 +19,7 @@
 #include "net/node.hpp"
 #include "net/queue.hpp"
 #include "net/topology.hpp"
+#include "pdes/channel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -223,6 +225,32 @@ TEST(AllocFree, ForwardingPathSteadyStateIsAllocationFree) {
   EXPECT_EQ(s->forwarded_packets(),
             static_cast<std::int64_t>(rounds) * kBurst);
   EXPECT_EQ(s->routeless_drops(), 0);
+}
+
+TEST(AllocFree, ChannelImportBufferRecyclesWhileNeverEmpty) {
+  // A cut link hands each delivery over before it is due, so a consumer
+  // usually drains while a delivery is still pending. The import buffer
+  // must reuse its storage all the same, not grow with every delivery.
+  sim::Simulator sim;
+  net::DumbbellConfig cfg;
+  cfg.hosts_per_side = 1;
+  auto d = net::make_dumbbell(sim, cfg);
+  pdes::CrossShardChannel ch(d.bottleneck);
+  const net::Packet pkt{};
+  sim::SimTime when = 0;
+  const auto cycle = [&](int iters) {
+    for (int i = 0; i < iters; ++i) {
+      ++when;
+      ch.deliver(when, static_cast<std::uint64_t>(when), d.right_switch, pkt);
+      ch.drain();
+      while (ch.front().when < when) ch.pop();  // All but the newest run.
+    }
+  };
+  cycle(1024);
+  const std::uint64_t before = g_alloc_count.load();
+  cycle(16 * 1024);
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "the import buffer grew on the steady-state path";
 }
 
 }  // namespace

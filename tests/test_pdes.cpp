@@ -1,11 +1,12 @@
 // Sharded-PDES tests: the conservative-lookahead parallel engine must be
 // invisible in the results — 1-shard, N-shard cooperative and N-shard
-// threaded runs of the same experiment produce identical model state (the
-// byte-identity matrix, including cuts around the end of a serialization,
-// where a cut link and a local link take different paths), the
-// partitioner must respect rack atomicity and co-location on arbitrary
-// fabrics, and the cross-shard channel must keep its FIFO/LBTS contract
-// under concurrency.
+// threaded runs of the same experiment reach identical model state and
+// execute the same events (the byte-identity matrix, including cuts around
+// the end of a serialization, which a cut link's channel must withdraw
+// exactly as a local link cancels its delivery event), the partitioner
+// must respect rack atomicity and co-location on arbitrary fabrics, the
+// cross-shard channel must keep its FIFO/LBTS contract under concurrency,
+// and bad setup must fail loudly.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/reno.hpp"
+#include "telemetry/tracer.hpp"
 #include "traffic/source.hpp"
 #include "workload/cluster.hpp"
 #include "workload/collective.hpp"
@@ -132,6 +135,26 @@ TEST(PdesPartition, CoLocateMergesGroupsAcrossRacks) {
   }
 }
 
+TEST(PdesPartition, RejectsCutLinkWithoutPropagationDelay) {
+  // Zero lookahead would stall conservative synchronization at the first
+  // round; the partitioner refuses the cut instead.
+  sim::Simulator sim;
+  net::DumbbellConfig cfg;
+  cfg.hosts_per_side = 1;
+  cfg.bottleneck_delay = 0;
+  auto d = net::make_dumbbell(sim, cfg);
+  PartitionOptions opts;
+  opts.shards = 2;
+  try {
+    pdes::partition_topology(*d.topology, opts);
+    FAIL() << "a zero-delay cut link was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(d.bottleneck->name()), std::string::npos) << what;
+    EXPECT_NE(what.find("delay 0"), std::string::npos) << what;
+  }
+}
+
 // ---------------------------------------------------------------- channel
 
 TEST(PdesChannel, KeepsFifoOrderAndMonotoneLbts) {
@@ -139,7 +162,7 @@ TEST(PdesChannel, KeepsFifoOrderAndMonotoneLbts) {
   net::DumbbellConfig cfg;
   cfg.hosts_per_side = 1;
   auto d = net::make_dumbbell(sim, cfg);
-  pdes::CrossShardChannel ch(d.bottleneck, 0, 1, 0);
+  pdes::CrossShardChannel ch(d.bottleneck);
 
   net::Packet pkt{};
   ch.deliver(100, 7, d.right_switch, pkt);
@@ -148,14 +171,14 @@ TEST(PdesChannel, KeepsFifoOrderAndMonotoneLbts) {
   ch.advance(300);  // Stale: must not lower the bound.
   EXPECT_EQ(ch.lbts(), 400);
 
+  EXPECT_EQ(ch.drain(), 2u);
   std::vector<pdes::Delivery> out;
-  EXPECT_EQ(ch.drain(out), 2u);
+  for (; !ch.empty(); ch.pop()) out.push_back(ch.front());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].when, 100);
   EXPECT_EQ(out[1].when, 250);
   EXPECT_EQ(out[0].key, 7u);
   EXPECT_EQ(out[1].key, 8u);
-  EXPECT_EQ(ch.pushes(), 2u);
   EXPECT_GE(ch.null_updates(), 2u);
   EXPECT_EQ(ch.max_backlog(), 2u);
 
@@ -168,7 +191,7 @@ TEST(PdesChannel, ThreadedProducerConsumerPreservesStreamOrder) {
   net::DumbbellConfig cfg;
   cfg.hosts_per_side = 1;
   auto d = net::make_dumbbell(sim, cfg);
-  pdes::CrossShardChannel ch(d.bottleneck, 0, 1, 0);
+  pdes::CrossShardChannel ch(d.bottleneck);
   pdes::ShardSignal signal;
   ch.set_consumer_signal(&signal);
 
@@ -184,7 +207,8 @@ TEST(PdesChannel, ThreadedProducerConsumerPreservesStreamOrder) {
   std::vector<pdes::Delivery> got;
   while (got.size() < kPushes) {
     const std::uint64_t seen = signal.version();
-    if (ch.drain(got) == 0 && got.size() < kPushes) signal.wait(seen);
+    if (ch.drain() == 0 && got.size() < kPushes) signal.wait(seen);
+    for (; !ch.empty(); ch.pop()) got.push_back(ch.front());
   }
   producer.join();
 
@@ -195,6 +219,33 @@ TEST(PdesChannel, ThreadedProducerConsumerPreservesStreamOrder) {
               static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(ch.lbts(), sim::kTimeInfinity);
+}
+
+TEST(PdesChannel, RetractWithdrawsTheNewestDelivery) {
+  sim::Simulator sim;
+  net::DumbbellConfig cfg;
+  cfg.hosts_per_side = 1;
+  auto d = net::make_dumbbell(sim, cfg);
+  pdes::CrossShardChannel ch(d.bottleneck);
+
+  net::Packet pkt{};
+  ch.deliver(100, 1, d.right_switch, pkt);
+  ch.deliver(200, 2, d.right_switch, pkt);
+  ch.deliver(300, 3, d.right_switch, pkt);
+  ch.retract(3);  // Still in the inbox.
+  EXPECT_EQ(ch.drain(), 2u);
+  ch.deliver(400, 4, d.right_switch, pkt);
+  EXPECT_EQ(ch.drain(), 1u);
+  ch.retract(4);  // Already moved into the import buffer.
+  EXPECT_EQ(ch.drain(), 0u);
+
+  std::vector<pdes::Delivery> out;
+  for (; !ch.empty(); ch.pop()) out.push_back(ch.front());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].when, 100);
+  EXPECT_EQ(out[0].key, 1u);
+  EXPECT_EQ(out[1].when, 200);
+  EXPECT_EQ(out[1].key, 2u);
 }
 
 // ----------------------------------------------------- byte-identity matrix
@@ -242,6 +293,19 @@ void append_fcts(const traffic::TrafficSource* source, std::ostringstream& os) {
 pdes::ShardedRunner::Mode runner_mode(Exec exec) {
   return exec == Exec::kThreaded ? pdes::ShardedRunner::Mode::kThreaded
                                  : pdes::ShardedRunner::Mode::kCooperative;
+}
+
+/// The run's work: events executed, with each scenario instant counted once.
+/// A scenario event runs as a queue event serially but at a global barrier
+/// when sharded, so a sharded run adds the engine's applied events; that
+/// matches the serial count when every scenario event has its own instant.
+std::string work(Exec exec, const sim::Simulator& sim,
+                 const scenario::ScenarioEngine& engine) {
+  std::uint64_t events = sim.events_executed();
+  if (exec != Exec::kSerial) {
+    events += static_cast<std::uint64_t>(engine.applied_events());
+  }
+  return "events " + std::to_string(events) + '\n';
 }
 
 /// A dumbbell fine-tuning mix (the fig-6 shape: a few jobs sharing one
@@ -298,7 +362,7 @@ std::string dumbbell_run(Exec exec, int shards, bool faulted) {
     runner.set_scenario(&engine);
     pdes::start_all_sharded(cluster, specs, sim, part);
     runner.run_until(kEnd);
-    EXPECT_GT(runner.totals().events, 0u);
+    EXPECT_GT(sim.events_executed(), 0u);
     if (faulted) {
       EXPECT_GT(runner.totals().imports, 0u);
     }
@@ -307,6 +371,7 @@ std::string dumbbell_run(Exec exec, int shards, bool faulted) {
   std::ostringstream os;
   os << digest(cluster, *d.topology);
   if (faulted) os << "applied " << engine.applied_events() << '\n';
+  os << work(exec, sim, engine);
   return os.str();
 }
 
@@ -380,6 +445,7 @@ std::string leaf_spine_run(Exec exec, int shards) {
   std::ostringstream os;
   os << digest(cluster, *ls.topology);
   append_fcts(engine.traffic_source("mix"), os);
+  os << work(exec, sim, engine);
   return os.str();
 }
 
@@ -390,13 +456,15 @@ TEST(PdesIdentity, LeafSpineFourShardsWithTrafficMatchSerial) {
   EXPECT_EQ(serial, leaf_spine_run(Exec::kThreaded, 4));
 }
 
-/// One packet across a 1 + 1 dumbbell whose bottleneck (swL -> swR) is cut
-/// `offset` ns from the instant the packet finishes serializing on it.
-/// Reports the delivery and the bottleneck's fault drops and counters. At 2
-/// shards the bottleneck is a cut link, so it takes the tx-done handoff path
-/// where the serial run's local link pushes its delivery at serialization
-/// start; the cut rule must not tell them apart.
-std::string cut_run(Exec exec, sim::SimTime offset) {
+/// `packets` back-to-back packets across a 1 + 1 dumbbell whose bottleneck
+/// (swL -> swR) is cut `offset` ns from the instant the first finishes
+/// serializing on it; the host link is ten times faster, so later packets
+/// queue behind the first there. Reports the deliveries and the
+/// bottleneck's fault drops and counters. At 2 shards the bottleneck is a
+/// cut link, so the cut withdraws its channel's delivery where the serial
+/// run cancels the delivery event, and cancels a backlog's tx-done from
+/// the coordinator thread.
+std::string cut_run(Exec exec, sim::SimTime offset, int packets = 1) {
   sim::Simulator sim;
   net::DumbbellConfig cfg;
   cfg.hosts_per_side = 1;
@@ -419,11 +487,14 @@ std::string cut_run(Exec exec, sim::SimTime offset) {
   scenario::Scenario s;
   s.link_down(end + offset, "swL", "swR");
   scenario::ScenarioEngine engine(sim, *d.topology, cluster);
+  auto send = [&] {
+    for (int i = 0; i < packets; ++i) d.left[0]->send(pkt);
+  };
 
   const sim::SimTime kEnd = sim::milliseconds(1);
   if (exec == Exec::kSerial) {
     engine.install(s);
-    d.left[0]->send(pkt);
+    send();
     sim.run_until(kEnd);
   } else {
     PartitionOptions opts;
@@ -443,7 +514,7 @@ std::string cut_run(Exec exec, sim::SimTime offset) {
     runner.set_scenario(&engine);
     {
       sim::Simulator::ShardGuard guard(sim, part.shard_of(d.left[0]));
-      d.left[0]->send(pkt);
+      send();
     }
     runner.run_until(kEnd);
   }
@@ -455,10 +526,11 @@ std::string cut_run(Exec exec, sim::SimTime offset) {
   return os.str();
 }
 
-void expect_cut_outcome(sim::SimTime offset, const std::string& want) {
-  EXPECT_EQ(cut_run(Exec::kSerial, offset), want);
-  EXPECT_EQ(cut_run(Exec::kCooperative, offset), want);
-  EXPECT_EQ(cut_run(Exec::kThreaded, offset), want);
+void expect_cut_outcome(sim::SimTime offset, const std::string& want,
+                        int packets = 1) {
+  EXPECT_EQ(cut_run(Exec::kSerial, offset, packets), want);
+  EXPECT_EQ(cut_run(Exec::kCooperative, offset, packets), want);
+  EXPECT_EQ(cut_run(Exec::kThreaded, offset, packets), want);
 }
 
 TEST(PdesIdentity, CutBeforeSerializationEndLosesThePacket) {
@@ -472,6 +544,16 @@ TEST(PdesIdentity, CutAtSerializationEndLosesThePacket) {
 
 TEST(PdesIdentity, CutAfterSerializationEndDelivers) {
   expect_cut_outcome(1, "delivered 1 drops 0 packets 1 bytes 1500");
+}
+
+TEST(PdesIdentity, CutDuringFirstSerializationLosesTheBacklog) {
+  // The first packet's delivery is withdrawn and the second, queued behind
+  // it, is drained with its pending tx-done.
+  expect_cut_outcome(-1, "delivered 0 drops 2 packets 0 bytes 0", 2);
+}
+
+TEST(PdesIdentity, CutDuringSecondSerializationDeliversTheFirst) {
+  expect_cut_outcome(1, "delivered 1 drops 1 packets 1 bytes 1500", 2);
 }
 
 TEST(PdesIdentity, RepeatedRunUntilMatchesOneShot) {
@@ -540,7 +622,7 @@ TEST(PdesRunner, ExportsShardMetrics) {
   ASSERT_EQ(runner.shards(), 2);
   EXPECT_EQ(runner.workers(), 1);
   const pdes::ShardStats totals = runner.totals();
-  EXPECT_GT(totals.events, 0u);
+  EXPECT_GT(sim.events_executed(), 0u);
   EXPECT_GT(totals.imports, 0u);  // Every data packet crosses the trunk.
   EXPECT_GT(totals.null_updates, 0u);
 
@@ -548,9 +630,88 @@ TEST(PdesRunner, ExportsShardMetrics) {
   runner.export_metrics(registry);
   EXPECT_EQ(registry.counter("pdes/total/imports").value(),
             static_cast<std::int64_t>(totals.imports));
-  EXPECT_GT(registry.counter("pdes/shard0/events").value() +
+  EXPECT_EQ(registry.counter("pdes/shard0/events").value() +
                 registry.counter("pdes/shard1/events").value(),
-            0);
+            static_cast<std::int64_t>(sim.events_executed()));
+}
+
+/// A 1 + 1 dumbbell with one job, for the setup checks below.
+struct OneJobRig {
+  sim::Simulator sim;
+  net::Dumbbell d;
+  workload::Cluster cluster{sim};
+  std::vector<workload::JobSpec> specs;
+
+  explicit OneJobRig(net::DumbbellConfig cfg = {}) {
+    cfg.hosts_per_side = 1;
+    d = net::make_dumbbell(sim, cfg);
+    workload::JobSpec spec;
+    spec.name = "j0";
+    spec.flows = workload::single_flow(d.left[0], d.right[0], 100'000);
+    spec.max_iterations = 2;
+    spec.cc = [] { return std::make_unique<tcp::RenoCC>(); };
+    specs.push_back(spec);
+    cluster.add_job(spec);
+  }
+
+  Partition two_shards() const {
+    PartitionOptions opts;
+    opts.shards = 2;
+    return pdes::partition_topology(*d.topology, opts);
+  }
+};
+
+TEST(PdesRunner, RejectsUnconfiguredShards) {
+  OneJobRig rig;
+  const Partition part = rig.two_shards();
+  EXPECT_THROW(
+      { pdes::ShardedRunner runner(rig.sim, *rig.d.topology, part); },
+      std::invalid_argument);
+}
+
+TEST(PdesRunner, RejectsAttachedTracer) {
+  OneJobRig rig;
+  const Partition part = rig.two_shards();
+  rig.sim.configure_shards(part.shards);
+  telemetry::Tracer tracer;
+  rig.sim.set_tracer(&tracer);
+  EXPECT_THROW(
+      { pdes::ShardedRunner runner(rig.sim, *rig.d.topology, part); },
+      std::invalid_argument);
+}
+
+TEST(PdesRunner, RejectsSpecsThatDoNotMatchTheJobs) {
+  OneJobRig rig;
+  const Partition part = rig.two_shards();
+  rig.sim.configure_shards(part.shards);
+  std::vector<workload::JobSpec> two = {rig.specs[0], rig.specs[0]};
+  EXPECT_THROW(pdes::start_all_sharded(rig.cluster, two, rig.sim, part),
+               std::invalid_argument);
+  EXPECT_THROW(pdes::start_all_sharded(rig.cluster, {}, rig.sim, part),
+               std::invalid_argument);
+}
+
+TEST(PdesRunner, StallWithoutLookaheadThrows) {
+  // partition_topology refuses a zero-delay cut, so build that cut by hand:
+  // the cooperative scheduler must report the stall, not return early.
+  net::DumbbellConfig cfg;
+  cfg.bottleneck_delay = 0;
+  OneJobRig rig(cfg);
+  Partition part;
+  part.shards = 2;
+  part.shard_of_node.assign(rig.d.topology->hosts().size() +
+                                rig.d.topology->switches().size(),
+                            0);
+  part.shard_of_node[static_cast<std::size_t>(rig.d.right[0]->id())] = 1;
+  part.shard_of_node[static_cast<std::size_t>(rig.d.right_switch->id())] = 1;
+  part.cut_links = {{rig.d.bottleneck, 0, 1},
+                    {rig.d.bottleneck_reverse, 1, 0}};
+  part.min_lookahead = 0;
+  rig.sim.configure_shards(part.shards);
+  pdes::ShardedRunner runner(rig.sim, *rig.d.topology, part,
+                             pdes::ShardedRunner::Mode::kCooperative);
+  pdes::start_all_sharded(rig.cluster, rig.specs, rig.sim, part);
+  EXPECT_THROW(runner.run_until(sim::milliseconds(10)), std::logic_error);
 }
 
 }  // namespace
