@@ -72,8 +72,8 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 BENCHMARK(BM_EventQueueSteadyState);
 
 // RTO-style churn: most scheduled events never fire — they are cancelled and
-// replaced long before their deadline. Exercises generation-tag cancellation
-// and the stale-entry compaction that keeps the heap bounded.
+// replaced long before their deadline. Exercises id validation and removal
+// from the middle of the heap.
 void BM_EventQueueCancelChurn(benchmark::State& state) {
   sim::EventQueue q;
   sim::SimTime now = 0;
@@ -88,7 +88,8 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueCancelChurn);
 
 // Timer rearm storm: the same deadline-replacement pattern as above but
-// through the reusable QueueTimer, which keeps its callback in place.
+// through the reusable QueueTimer, which keeps its callback in place and
+// re-keys its queued entry.
 void BM_TimerRearm(benchmark::State& state) {
   sim::EventQueue q;
   std::int64_t fired = 0;

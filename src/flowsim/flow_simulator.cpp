@@ -98,7 +98,6 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
 
  private:
   friend class FlowSimulator;
-  friend struct FlowSimulator::HeapPosOf;
 
   struct Message {
     std::int64_t bytes = 0;
@@ -148,13 +147,8 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
   sim::SimTime route_delay_ = 0;  ///< Sum of propagation delays en route.
   bool route_valid_ = false;
 
-  std::int32_t heap_pos_ = -1;  ///< Slot in the drain heap (-1 = absent).
   std::int32_t busy_pos_ = -1;  ///< Slot in busy_ (-1 = not busy).
 };
-
-std::int32_t& FlowSimulator::HeapPosOf::operator()(FlowChannel* ch) const {
-  return ch->heap_pos_;
-}
 
 FlowSimulator::FlowSimulator(sim::Simulator& simulator,
                              net::Topology& topology, FlowSimConfig cfg)
@@ -455,13 +449,14 @@ sim::SimTime FlowSimulator::predict_drain(const FlowChannel* ch,
 
 void FlowSimulator::heap_update(FlowChannel* ch, sim::SimTime key) {
   ++stats_.heap_updates;
-  drain_heap_.update(ch, key);
+  drain_heap_.push({key, static_cast<std::uint32_t>(ch->ordinal_)});
 }
 
 void FlowSimulator::heap_remove(FlowChannel* ch) {
-  if (ch->heap_pos_ < 0) return;
+  const auto id = static_cast<std::uint32_t>(ch->ordinal_);
+  if (!drain_heap_.contains(id)) return;
   ++stats_.heap_updates;
-  drain_heap_.remove(ch);
+  drain_heap_.remove(id);
 }
 
 void FlowSimulator::make_stalled(FlowChannel* ch, sim::SimTime now) {
@@ -666,7 +661,7 @@ void FlowSimulator::reallocate(sim::SimTime now) {
   dirty_all_ = false;
 
   if (!drain_heap_.empty()) {
-    timer_.arm_at(drain_heap_.min_key());
+    timer_.arm_at(drain_heap_.top().when);
   } else {
     timer_.cancel();
   }
@@ -688,8 +683,9 @@ void FlowSimulator::on_timer() {
   // else stays untouched in the heap. Processing order is channel-creation
   // order — deterministic, independent of heap internals and shard count.
   due_.clear();
-  while (!drain_heap_.empty() && drain_heap_.min_key() <= now) {
-    due_.push_back(drain_heap_.pop_min());
+  while (!drain_heap_.empty() && drain_heap_.top().when <= now) {
+    due_.push_back(channels_[drain_heap_.top().id].get());
+    drain_heap_.pop();
   }
   std::sort(due_.begin(), due_.end(),
             [](const FlowChannel* a, const FlowChannel* b) {

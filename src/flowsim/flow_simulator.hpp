@@ -130,10 +130,15 @@ class FlowSimulator : public workload::Backend {
   class FlowChannel;
   friend class FlowChannel;
 
-  struct HeapPosOf {
-    std::int32_t& operator()(FlowChannel* ch) const;
+  /// Drain-index entry: a channel's next due instant, keyed by the
+  /// channel's ordinal.
+  struct DrainEntry {
+    sim::SimTime when;
+    std::uint32_t id;
+    friend bool operator<(const DrainEntry& a, const DrainEntry& b) {
+      return (a.when < b.when) | ((a.when == b.when) & (a.id < b.id));
+    }
   };
-  using DrainHeap = sim::IndexedMinHeap4<sim::SimTime, FlowChannel*, HeapPosOf>;
 
   /// One sending channel's membership in a link's flow list, with the hop
   /// index that lets a swap-removal repair the moved entry's slot.
@@ -237,7 +242,7 @@ class FlowSimulator : public workload::Backend {
   std::vector<FlowChannel*> completed_scratch_;
   std::uint32_t visit_epoch_ = 0;
 
-  DrainHeap drain_heap_;
+  sim::IndexedMinHeap4<DrainEntry> drain_heap_;
 
   /// Channels with a message in flight (sending or draining). Event-loop
   /// work scales with this concurrency bound, not with the total channel

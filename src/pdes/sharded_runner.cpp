@@ -236,7 +236,8 @@ void ShardedRunner::run_phase_threaded(sim::SimTime bound) {
 void ShardedRunner::run_phase(sim::SimTime bound) {
   bool threaded = mode_ == Mode::kThreaded;
   if (mode_ == Mode::kAuto) {
-    threaded = shards_.size() > 1 && std::thread::hardware_concurrency() >= 2;
+    // A reading of 0 means "unknown" and stays cooperative.
+    threaded = std::thread::hardware_concurrency() >= shards_.size();
   }
   if (threaded && shards_.size() > 1) {
     workers_ = static_cast<int>(shards_.size());

@@ -51,8 +51,8 @@ struct ShardStats {
 ///  - kThreaded: one worker thread per shard, blocking on eventcount
 ///    signals when a neighbour's LBTS pins them. The mode that buys
 ///    wall-clock speedup on multi-core hosts.
-/// kAuto picks threaded when the host has at least as many cores as shards
-/// would use (>= 2), cooperative otherwise.
+/// kAuto picks threaded when the host has at least as many cores as there
+/// are shards, cooperative otherwise.
 ///
 /// Limitations: no tracer may be attached to the simulator (Perfetto export
 /// remains a serial-mode guarantee; the constructor throws), and a scenario

@@ -1,18 +1,21 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/event_callback.hpp"
+#include "sim/indexed_heap.hpp"
 #include "sim/time.hpp"
 
 namespace mltcp::sim {
 
 /// Identifies a scheduled event so it can be cancelled. An id encodes a slot
-/// index plus a per-slot generation tag, so ids from a reused slot never
-/// alias an earlier event: cancel()/pending() on a stale id are exact no-ops.
+/// index plus the slot's generation, which advances each time the slot is
+/// released, so ids from a reused slot never alias an earlier event:
+/// cancel()/pending() on a stale id are exact no-ops.
 using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
@@ -33,20 +36,16 @@ class QueueTimer;
 /// Engineered for the packet hot path (three trips per simulated packet):
 ///  - callbacks are EventCallback (inline small-buffer storage), so the
 ///    steady-state schedule/fire cycle performs zero heap allocations;
-///  - cancellation is generation-tagged: each event owns a slot in a
-///    free-list table and its id carries the slot's generation, making
-///    cancel()/pending() O(1) with no hashing. Generations use parity as the
-///    armed flag (odd = armed), so liveness is a single compare against a
-///    flat uint32 array that stays cache-resident;
+///  - each event owns a slot in a free-list table, and its id carries the
+///    slot's generation, so validating an id is one compare against a flat
+///    uint32 array, with no hashing;
 ///  - callback payloads live in chunked, address-stable storage, so a firing
 ///    callback runs in place (no move-out copy) even when it schedules new
 ///    events, and QueueTimer bindings never relocate;
-///  - ordering lives in an implicit 4-ary heap of 24-byte entries
-///    (timestamp, FIFO sequence, slot, generation) — shallower and more
-///    cache-friendly than a binary heap of fat entries;
-///  - stale heap entries (cancelled or rearmed) are dropped lazily when they
-///    surface and compacted away when they outnumber live ones, bounding
-///    memory under cancel/reschedule-heavy workloads (RTO rearm storms).
+///  - ordering lives in an IndexedMinHeap4 of 24-byte (timestamp, sequence,
+///    slot) entries that knows each slot's position: cancel removes the
+///    entry and a timer rearm re-keys it in place, so the heap holds exactly
+///    the pending events.
 class EventQueue {
  public:
   /// High bit of the tiebreak key: set on ordinary (push-ordinal) events,
@@ -86,13 +85,15 @@ class EventQueue {
   /// True when an event with this id is still waiting to fire.
   bool pending(EventId id) const;
 
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Timestamp of the next live event; kTimeInfinity when empty.
-  SimTime next_time() const;
+  /// Timestamp of the next event; kTimeInfinity when empty.
+  SimTime next_time() const {
+    return heap_.empty() ? kTimeInfinity : heap_.top().when;
+  }
 
-  /// Pops and runs the next live event, returning its timestamp.
+  /// Pops and runs the next event, returning its timestamp.
   /// Precondition: !empty().
   SimTime pop_and_run() {
     SimTime when = 0;
@@ -100,7 +101,7 @@ class EventQueue {
     return when;
   }
 
-  /// Fused peek + pop for the simulator's run loop: if the next live event
+  /// Fused peek + pop for the simulator's run loop: if the next event
   /// fires at or before `deadline`, stores its timestamp to `*clock` (before
   /// invoking the callback, so the clock reads the event's time while it
   /// executes), runs it, and returns true. Otherwise leaves the event queued
@@ -119,8 +120,8 @@ class EventQueue {
   bool pop_and_run_before_key(SimTime when_limit, std::uint64_t key_limit,
                               SimTime* clock);
 
-  /// Backing-store sizes, exposed so tests can assert that cancel-heavy
-  /// workloads keep memory bounded (see test_event_engine.cpp).
+  /// Backing-store sizes, exposed so tests can assert that cancels and
+  /// rearms leave nothing behind (see test_event_engine.cpp).
   std::size_t heap_entries() const { return heap_.size(); }
   std::size_t slot_capacity() const { return gens_.size(); }
 
@@ -133,19 +134,20 @@ class EventQueue {
   static constexpr std::uint64_t kKeyInfinity = ~0ull;
   static constexpr std::uint32_t kSlotChunkShift = 8;
   static constexpr std::uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
-  /// Deepest possible 4-ary heap path: ceil(log4(2^64)) + 1 levels.
-  static constexpr int kMaxHeapDepth = 33;
 
-  /// One heap element: 24 bytes, four per 64-byte span. `seq` is the
-  /// tiebreak key at equal timestamps — `kOrdinalBand | push ordinal` for
-  /// ordinary events (FIFO), a canonical key below the band otherwise;
-  /// `gen` must match the slot's current generation for the entry to be
-  /// live.
+  /// One heap element: 24 bytes. `seq` is the tiebreak key at equal
+  /// timestamps — `kOrdinalBand | push ordinal` for ordinary events (FIFO),
+  /// a canonical key below the band otherwise; `id` is the event's slot.
   struct HeapEntry {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint32_t id;
+
+    /// (when, seq) lexicographic order, written without short-circuiting
+    /// so the compiler can select branchlessly.
+    friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
+      return (a.when < b.when) | ((a.when == b.when) & (a.seq < b.seq));
+    }
   };
 
   /// Per-slot storage that must not move: one-shot callbacks run in place
@@ -159,32 +161,16 @@ class EventQueue {
     EventCallback fn;
   };
 
-  /// (when, seq) lexicographic min-order. Written without short-circuiting
-  /// so the compiler can select branchlessly — heap keys are effectively
-  /// random, and a mispredicting branch per comparison dominates sift cost.
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    return (a.when < b.when) |
-           ((a.when == b.when) & (a.seq < b.seq));
-  }
-
-  /// Live iff the slot's generation still matches. Entries are only pushed
-  /// with odd (armed) generations, and every disarm bumps the counter, so a
-  /// single compare also covers the armed check.
-  bool entry_live(const HeapEntry& e) const {
-    return gens_[e.slot] == e.gen;
-  }
-
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
   }
-  /// Decodes an id; returns false for ids this queue never issued (issued
-  /// ids always carry an odd generation).
-  bool decode(EventId id, std::uint32_t& slot, std::uint32_t& gen) const {
+  /// Decodes an id: its slot if the id was issued for the slot's current
+  /// occupant, kNullSlot for stale ids and ids this queue never issued.
+  std::uint32_t slot_of(EventId id) const {
     const std::uint64_t hi = id >> 32;
-    gen = static_cast<std::uint32_t>(id);
-    if (hi == 0 || hi > gens_.size() || (gen & 1) == 0) return false;
-    slot = static_cast<std::uint32_t>(hi - 1);
-    return true;
+    if (hi == 0 || hi > gens_.size()) return kNullSlot;
+    const auto slot = static_cast<std::uint32_t>(hi - 1);
+    return gens_[slot] == static_cast<std::uint32_t>(id) ? slot : kNullSlot;
   }
 
   SlotPayload& payload(std::uint32_t slot) {
@@ -192,6 +178,8 @@ class EventQueue {
   }
 
   std::uint32_t acquire_slot();
+  /// Returns a slot to the free list; its generation advances, so every id
+  /// issued for it goes stale.
   void release_slot(std::uint32_t slot);
 
   /// The one schedule body: fills a fresh slot and pushes it under `key`.
@@ -199,54 +187,45 @@ class EventQueue {
   EventId emplace(SimTime when, std::uint64_t key, F&& fn) {
     const std::uint32_t slot = acquire_slot();
     payload(slot).fn.emplace(std::forward<F>(fn));
-    const std::uint32_t gen = ++gens_[slot];  // even -> odd: armed
-    ++live_;
-    push_entry(when, key, slot, gen);
-    return make_id(slot, gen);
+    push_entry(when, key, slot);
+    return make_id(slot, gens_[slot]);
   }
 
-  /// Pushes a heap entry. `key` is a canonical key below kOrdinalBand, or
-  /// kOrdinalBand itself for "the next push ordinal" (FIFO).
-  void push_entry(SimTime when, std::uint64_t key, std::uint32_t slot,
-                  std::uint32_t gen);
-  void sift_up(std::size_t i);
-  /// Index of the smallest of the up-to-four children starting at
-  /// `first_child` (heap size `n`).
-  std::size_t min_child(std::size_t first_child, std::size_t n) const;
-  void sift_down(std::size_t i) const;
-  void pop_front() const;
-  /// Removes cancelled entries sitting at the heap top.
-  void drop_dead_front() const;
-  /// Rebuilds the heap without stale entries once they outnumber live ones.
-  void maybe_compact();
+  /// Queues `slot` at (when, key), replacing its queued entry if it has
+  /// one. `key` is a canonical key below kOrdinalBand, or kOrdinalBand
+  /// itself for "the next push ordinal" (FIFO). Every call consumes one.
+  void push_entry(SimTime when, std::uint64_t key, std::uint32_t slot) {
+    assert(key <= kOrdinalBand && "canonical keys live below the ordinal band");
+    const std::uint64_t ordinal = seq_++;
+    heap_.push(HeapEntry{
+        when, key == kOrdinalBand ? kOrdinalBand | ordinal : key, slot});
+  }
 
   // QueueTimer support (slots that persist across fires).
   std::uint32_t timer_bind(QueueTimer* t);
   void timer_release(std::uint32_t slot);
-  void timer_arm(std::uint32_t slot, SimTime when, std::uint64_t key);
-  void timer_cancel(std::uint32_t slot);
+  void timer_arm(std::uint32_t slot, SimTime when, std::uint64_t key) {
+    push_entry(when, key, slot);
+  }
+  void timer_cancel(std::uint32_t slot) { heap_.remove(slot); }
   bool timer_pending(std::uint32_t slot) const {
-    return (gens_[slot] & 1) != 0;
+    return heap_.contains(slot);
   }
 
-  // `mutable` so const peeks (next_time) can drop tombstoned entries, as the
-  // previous implementation did.
-  mutable std::vector<HeapEntry> heap_;
-  mutable std::size_t stale_ = 0;  ///< Heap entries with a mismatched gen.
-  std::vector<std::uint32_t> gens_;  ///< Per-slot generation; odd = armed.
+  IndexedMinHeap4<HeapEntry> heap_;  ///< Exactly the pending events.
+  std::vector<std::uint32_t> gens_;  ///< Per-slot generation.
   std::vector<std::unique_ptr<SlotPayload[]>> chunks_;
   /// Recycled slot indices, LIFO. A plain stack (not an intrusive list
   /// through the payloads) so acquiring a slot never chases a pointer into
   /// cold payload memory.
   std::vector<std::uint32_t> free_;
-  std::size_t live_ = 0;      ///< Armed (pending) events.
-  std::uint64_t seq_ = 0;     ///< Total pushes; FIFO tiebreak source.
+  std::uint64_t seq_ = 0;  ///< Total pushes; FIFO tiebreak source.
 };
 
 /// Reusable timer handle for periodic / frequently rearmed events (link
 /// transmission-done, TCP RTO, pacing, delayed ACKs). The callback is bound
-/// once and owned by the timer; arm() replaces any pending deadline in
-/// place, so a rearm is one heap push — no callback destruction,
+/// once and owned by the timer; arm() re-keys a pending deadline in place,
+/// so a rearm is one heap operation — no callback destruction,
 /// reconstruction or allocation, and no per-rearm id to track.
 ///
 /// Determinism: a rearm takes a fresh FIFO sequence number, so event

@@ -15,10 +15,11 @@ void TcpReceiver::on_packet(const net::Packet& pkt) {
 
   if (pkt.seq == rcv_next_) {
     ++rcv_next_;
-    // Absorb any previously buffered continuation.
-    while (!ooo_.empty() && *ooo_.begin() == rcv_next_) {
-      ooo_.erase(ooo_.begin());
-      ++rcv_next_;
+    // Absorb the buffered run this segment completes, if any: intervals are
+    // disjoint and non-adjacent, so only the first can start here.
+    if (!ooo_.empty() && ooo_.intervals().begin()->first == rcv_next_) {
+      rcv_next_ = ooo_.intervals().begin()->second;
+      ooo_.erase_below(rcv_next_);
     }
     ++unacked_in_order_;
     if (unacked_in_order_ >= cfg_.ack_every) {
@@ -30,7 +31,7 @@ void TcpReceiver::on_packet(const net::Packet& pkt) {
   }
 
   if (pkt.seq > rcv_next_) {
-    ooo_.insert(pkt.seq);
+    ooo_.insert(pkt.seq, pkt.seq + 1);
   }
   // Below-window (spurious retransmission) or out-of-order: ACK immediately
   // so the sender sees duplicate ACKs.
@@ -58,19 +59,11 @@ void TcpReceiver::send_ack(const net::Packet& trigger) {
   ack.ece = pending_ce_;
   ack.tx_timestamp = trigger.tx_timestamp;  // echo for RTT sampling
 
-  if (cfg_.sack_enabled && !ooo_.empty()) {
-    // Summarize the out-of-order buffer as up to kMaxSackBlocks contiguous
-    // ranges, lowest first (the ranges nearest the hole matter most to the
-    // sender's scoreboard).
-    auto it = ooo_.begin();
-    while (it != ooo_.end() && ack.sack_count() < net::kMaxSackBlocks) {
-      const std::int64_t start = *it;
-      std::int64_t end = start + 1;
-      ++it;
-      while (it != ooo_.end() && *it == end) {
-        ++end;
-        ++it;
-      }
+  if (cfg_.sack_enabled) {
+    // The first kMaxSackBlocks buffered runs, lowest first (the runs nearest
+    // the hole matter most to the sender's scoreboard).
+    for (const auto& [start, end] : ooo_.intervals()) {
+      if (ack.sack_count() == net::kMaxSackBlocks) break;
       ack.add_sack(start, end);
     }
   }

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "tcp/interval_set.hpp"
 
 namespace mltcp::tcp {
 
@@ -34,9 +34,6 @@ class TcpReceiver {
   std::int64_t rcv_next() const { return rcv_next_; }
   std::int64_t data_packets_received() const { return data_packets_; }
   std::int64_t acks_sent() const { return acks_sent_; }
-  std::int64_t out_of_order_buffered() const {
-    return static_cast<std::int64_t>(ooo_.size());
-  }
 
  private:
   void send_ack(const net::Packet& trigger);
@@ -49,7 +46,7 @@ class TcpReceiver {
   ReceiverConfig cfg_;
 
   std::int64_t rcv_next_ = 0;
-  std::set<std::int64_t> ooo_;
+  IntervalSet ooo_;  ///< Out-of-order segments, all above rcv_next_.
   bool pending_ce_ = false;
   int unacked_in_order_ = 0;
   /// Reusable delayed-ACK deadline; the callback acks `pending_trigger_`.

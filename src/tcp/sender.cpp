@@ -278,9 +278,13 @@ void TcpSender::handle_new_ack(const net::Packet& pkt) {
     cc_->on_ack(ctx);
   }
 
-  // Fresh timer for the remaining in-flight data.
-  cancel_rto();
-  if (inflight() > 0) arm_rto();
+  // Fresh timer for the remaining in-flight data: arming a pending timer
+  // re-keys its deadline in place.
+  if (inflight() > 0) {
+    arm_rto();
+  } else {
+    cancel_rto();
+  }
 
   // Per-ACK window sample: very hot, so it hides behind its own category
   // (kTcpAck) that experiments opt into explicitly.
@@ -306,7 +310,6 @@ void TcpSender::handle_dup_ack() {
     cc_->on_loss(sim_.now());
     rexmit_epoch_.insert(snd_una_, snd_una_ + 1);
     send_segment(snd_una_, /*retransmission=*/true);
-    cancel_rto();
     arm_rto();
   } else if (in_recovery_ && cfg_.use_sack) {
     // Every further dupACK refreshes the scoreboard; plug one hole.

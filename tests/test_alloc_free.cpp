@@ -141,7 +141,7 @@ TEST(AllocFree, TimerRearmStormIsAllocationFree) {
       now = q.pop_and_run();
     }
   };
-  cycle(20'000);  // warmup covers lazy-compaction growth and shrink cycles
+  cycle(20'000);  // warmup: slot table and heap position table sized
   const std::uint64_t before = g_alloc_count.load();
   cycle(20'000);
   const std::uint64_t after = g_alloc_count.load();

@@ -1,10 +1,12 @@
 // Event-engine regression tests: generation-tagged id exactness across slot
-// reuse, bounded memory under cancel/rearm storms, reusable-timer semantics,
-// the (when, key) order of canonically keyed events, and a randomized
-// differential check of pop ordering against a reference priority structure.
+// reuse, a heap that holds exactly the pending events through cancel/rearm
+// storms, reusable-timer semantics, the (when, key) order of canonically
+// keyed events, and a randomized differential check of pop ordering (with
+// timers re-keyed both ways) against a reference priority structure.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -50,11 +52,11 @@ TEST(EventEngineIds, ForeignIdsAreRejected) {
   sim::EventQueue q;
   EXPECT_FALSE(q.cancel(sim::kInvalidEventId));
   EXPECT_FALSE(q.pending(sim::kInvalidEventId));
-  // Ids this queue never issued: out-of-range slot, even generation.
+  // Ids this queue never issued: out-of-range slots.
   EXPECT_FALSE(q.cancel(~std::uint64_t{0}));
   EXPECT_FALSE(q.pending(std::uint64_t{1} << 32));
   const sim::EventId id = q.schedule(10, [] {});
-  EXPECT_FALSE(q.cancel(id + 1));  // same slot, even (disarmed) generation
+  EXPECT_FALSE(q.cancel(id + 1));  // same slot, a generation it never held
   EXPECT_TRUE(q.cancel(id));
 }
 
@@ -91,10 +93,10 @@ TEST(EventEngineMemory, RtoRearmStormStaysBounded) {
     now = q.pop_and_run();
   }
   EXPECT_EQ(fired, 0);
-  // 200k rearms left 200k stale heap entries behind over time; lazy
-  // compaction must have kept the heap within a small constant of the live
-  // count (2) instead of letting it grow linearly.
-  EXPECT_LT(q.heap_entries(), 512u);
+  // Each rearm re-keyed the timer's one entry in place: the heap holds
+  // exactly the pending timer, not 200k superseded deadlines.
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.heap_entries(), q.size());
   EXPECT_LT(q.slot_capacity(), 64u);
   rto.cancel();
   while (!q.empty()) q.pop_and_run();
@@ -109,7 +111,8 @@ TEST(EventEngineMemory, CancelStormStaysBounded) {
     q.schedule(now + 1, [] {});
     now = q.pop_and_run();
   }
-  EXPECT_LT(q.heap_entries(), 512u);
+  // Each cancel removed its entry; none lingers for a later pop to skip.
+  EXPECT_EQ(q.heap_entries(), q.size());
   EXPECT_LT(q.slot_capacity(), 64u);
   EXPECT_TRUE(q.empty());
 }
@@ -324,7 +327,8 @@ TEST(TimerTraceEquivalence, RearmMatchesCancelSchedulePattern) {
 TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
   // Reference model: a multimap keyed by timestamp. Since C++11 multimap
   // insertion places equal keys at the upper bound of their range, which is
-  // exactly the queue's FIFO-at-equal-timestamp contract.
+  // exactly the queue's FIFO-at-equal-timestamp contract. A timer rearm
+  // takes a fresh FIFO position, so the reference erases and re-inserts it.
   sim::Rng rng(0xE7E47);
   sim::EventQueue q;
   std::multimap<sim::SimTime, int> ref;
@@ -333,6 +337,23 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
   int next_token = 0;
   sim::SimTime now = 0;
 
+  // Timers carry tokens -1..-4 and re-arm in place, to earlier and to later
+  // deadlines than the one they hold.
+  std::array<sim::QueueTimer, 4> timers;
+  for (int t = 0; t < 4; ++t) {
+    timers[t].bind(q, [t, &fired] { fired.push_back(-1 - t); });
+  }
+  int rekeyed_earlier = 0;
+  int rekeyed_later = 0;
+
+  const auto erase_ref = [&ref](int tok) {
+    for (auto r = ref.begin(); r != ref.end(); ++r) {
+      if (r->second == tok) {
+        ref.erase(r);
+        return;
+      }
+    }
+  };
   const auto pop_and_check = [&] {
     const auto expected = ref.begin();
     fired.clear();
@@ -345,32 +366,46 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
   };
 
   for (int step = 0; step < 50'000; ++step) {
-    const std::int64_t op = rng.uniform_int(0, 9);
+    const std::int64_t op = rng.uniform_int(0, 11);
     if (op < 5 || ref.empty()) {
       const sim::SimTime when = now + rng.uniform_int(0, 40);
       const int tok = next_token++;
       ids[tok] = q.schedule(when, [tok, &fired] { fired.push_back(tok); });
       ref.emplace(when, tok);
     } else if (op < 7) {
+      if (ids.empty()) continue;
       // Cancel a pseudo-random outstanding event.
       auto it = ids.begin();
       std::advance(it, rng.uniform_int(
                            0, static_cast<std::int64_t>(ids.size()) - 1));
       ASSERT_TRUE(q.cancel(it->second));
-      for (auto r = ref.begin(); r != ref.end(); ++r) {
-        if (r->second == it->first) {
-          ref.erase(r);
-          break;
-        }
-      }
+      erase_ref(it->first);
       ids.erase(it);
-    } else {
+    } else if (op < 10) {
       pop_and_check();
+    } else {
+      const auto t = static_cast<int>(rng.uniform_int(0, 3));
+      sim::QueueTimer& timer = timers[t];
+      if (op == 10) {
+        const sim::SimTime when = now + rng.uniform_int(0, 40);
+        if (timer.pending()) {
+          rekeyed_earlier += when < timer.deadline();
+          rekeyed_later += when > timer.deadline();
+        }
+        erase_ref(-1 - t);
+        timer.arm(when);
+        ref.emplace(when, -1 - t);
+      } else {
+        erase_ref(-1 - t);
+        timer.cancel();
+      }
     }
     ASSERT_EQ(q.size(), ref.size());
   }
   while (!ref.empty()) pop_and_check();
   EXPECT_TRUE(q.empty());
+  EXPECT_GT(rekeyed_earlier, 100);
+  EXPECT_GT(rekeyed_later, 100);
 }
 
 }  // namespace

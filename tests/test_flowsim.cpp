@@ -568,62 +568,59 @@ TEST(FlowsimIncremental, RandomizedDifferentialMatchesReferenceWaterfill) {
 
 // ---------------------------------------------------------- drain-event heap
 
-struct HeapNode {
-  sim::SimTime key = 0;  ///< Mirror of the key the heap currently holds.
-  std::int32_t pos = -1;
-  int id = 0;
-};
-struct HeapNodePos {
-  std::int32_t& operator()(HeapNode* n) const { return n->pos; }
+/// The drain index's entry shape: (due instant, channel ordinal).
+struct DrainEntry {
+  sim::SimTime when;
+  std::uint32_t id;
+  friend bool operator<(const DrainEntry& a, const DrainEntry& b) {
+    return a.when < b.when || (a.when == b.when && a.id < b.id);
+  }
 };
 
 TEST(FlowsimHeap, RandomizedDifferentialAgainstOrderedSet) {
   // The drain index must agree with an ordered-set reference across a long
   // random mix of insert / re-key / remove / pop-min — the exact operation
   // set reallocate() and on_timer() drive it with.
-  sim::IndexedMinHeap4<sim::SimTime, HeapNode*, HeapNodePos> heap;
-  std::vector<HeapNode> nodes(512);
-  for (int i = 0; i < 512; ++i) nodes[i].id = i;
-  // Reference: (key, id) pairs, so min_key comparisons are exact even with
-  // duplicate keys.
-  std::set<std::pair<sim::SimTime, int>> ref;
+  sim::IndexedMinHeap4<DrainEntry> heap;
+  // Last key pushed per id; the reference holds (key, id) for queued ids.
+  std::vector<sim::SimTime> key(512, 0);
+  std::set<std::pair<sim::SimTime, std::uint32_t>> ref;
+
+  const auto pop_and_check = [&] {
+    ASSERT_FALSE(ref.empty());
+    const DrainEntry top = heap.top();
+    // (when, id) is a total order, so the minimum is exact.
+    ASSERT_EQ(top.when, ref.begin()->first);
+    ASSERT_EQ(top.id, ref.begin()->second);
+    heap.pop();
+    ref.erase(ref.begin());
+  };
 
   std::mt19937_64 rng(1234);
   for (int op = 0; op < 20'000; ++op) {
-    HeapNode* n = &nodes[rng() % nodes.size()];
+    const auto id = static_cast<std::uint32_t>(rng() % key.size());
     switch (rng() % 4) {
       case 0:
       case 1: {  // Insert-or-rekey (the dominant operation).
-        const sim::SimTime key = static_cast<sim::SimTime>(rng() % 1'000'000);
-        if (n->pos >= 0) ref.erase({n->key, n->id});
-        heap.update(n, key);
-        n->key = key;
-        ref.insert({key, n->id});
+        const auto k = static_cast<sim::SimTime>(rng() % 1'000'000);
+        ref.erase({key[id], id});  // no-op unless queued
+        heap.push({k, id});
+        key[id] = k;
+        ref.insert({k, id});
         break;
       }
-      case 2: {  // Remove (drain transition / completion).
-        if (n->pos >= 0) ref.erase({n->key, n->id});
-        heap.remove(n);
+      case 2:  // Remove (drain transition / completion).
+        ref.erase({key[id], id});
+        heap.remove(id);
         break;
-      }
-      case 3: {  // Pop-min (due processing).
-        if (heap.empty()) break;
-        ASSERT_EQ(heap.min_key(), ref.begin()->first);
-        HeapNode* top = heap.pop_min();
-        ASSERT_EQ(top->key, ref.begin()->first)
-            << "popped item's key is not the reference minimum";
-        ref.erase({top->key, top->id});
+      case 3:  // Pop-min (due processing).
+        if (!heap.empty()) pop_and_check();
         break;
-      }
     }
     ASSERT_EQ(heap.size(), ref.size());
-    ASSERT_EQ(heap.contains(n), ref.count({n->key, n->id}) > 0);
+    ASSERT_EQ(heap.contains(id), ref.count({key[id], id}) > 0);
   }
-  while (!heap.empty()) {
-    ASSERT_EQ(heap.min_key(), ref.begin()->first);
-    HeapNode* top = heap.pop_min();
-    ref.erase({top->key, top->id});
-  }
+  while (!heap.empty()) pop_and_check();
   EXPECT_TRUE(ref.empty());
 }
 

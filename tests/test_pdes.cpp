@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <random>
@@ -633,6 +634,39 @@ TEST(PdesRunner, ExportsShardMetrics) {
   EXPECT_EQ(registry.counter("pdes/shard0/events").value() +
                 registry.counter("pdes/shard1/events").value(),
             static_cast<std::int64_t>(sim.events_executed()));
+}
+
+TEST(PdesRunner, AutoModeRunsCooperativelyWithMoreShardsThanCores) {
+  // kAuto gives each shard a thread only when every shard gets a core. A
+  // core count of 0 ("unknown") counts as one.
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores > 16) {
+    GTEST_SKIP() << "one rack per shard past 16 cores outgrows a unit test";
+  }
+  const int shards = static_cast<int>(std::max(cores, 1u)) + 1;
+  sim::Simulator sim;
+  auto ls = net::make_leaf_spine(sim, leaf_spine_config(shards, 1, 1));
+  workload::Cluster cluster(sim);
+  std::vector<workload::JobSpec> specs;
+  workload::JobSpec spec;
+  spec.name = "j0";
+  spec.flows = workload::single_flow(ls.racks[0][0], ls.racks[1][0], 100'000);
+  spec.max_iterations = 2;
+  spec.cc = [] { return std::make_unique<tcp::RenoCC>(); };
+  specs.push_back(spec);
+  cluster.add_job(spec);
+
+  PartitionOptions opts;
+  opts.shards = shards;
+  opts.co_locate = pdes::co_locate_senders(specs);
+  const Partition part = pdes::partition_topology(*ls.topology, opts);
+  ASSERT_EQ(part.shards, shards);
+  sim.configure_shards(part.shards);
+  pdes::ShardedRunner runner(sim, *ls.topology, part);
+  pdes::start_all_sharded(cluster, specs, sim, part);
+  runner.run_until(sim::milliseconds(50));
+  EXPECT_EQ(runner.workers(), 1);
+  EXPECT_GT(runner.totals().imports, 0u);
 }
 
 /// A 1 + 1 dumbbell with one job, for the setup checks below.
