@@ -11,6 +11,7 @@
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "tcp/flow.hpp"
 
 namespace {
@@ -88,15 +89,16 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueCancelChurn);
 
 // Timer rearm storm: the same deadline-replacement pattern as above but
-// through the reusable QueueTimer, which keeps its callback in place and
-// re-keys its queued entry.
+// through the reusable sim::Timer the model arms, which keeps its callback
+// in place and re-keys its queued entry.
 void BM_TimerRearm(benchmark::State& state) {
-  sim::EventQueue q;
+  sim::Simulator s;
+  sim::EventQueue& q = s.event_queue();
   std::int64_t fired = 0;
-  sim::QueueTimer rto(q, [&fired] { ++fired; });
+  sim::Timer rto(s, [&fired] { ++fired; });
   sim::SimTime now = 0;
   for (auto _ : state) {
-    rto.arm(now + 1'000'000);  // pushed out, never fires
+    rto.arm_at(now + 1'000'000);  // pushed out, never fires
     q.schedule(now + 1, [] {});
     now = q.pop_and_run();
   }

@@ -1,7 +1,8 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
-#include <utility>
+
+#include "sim/timer.hpp"
 
 namespace mltcp::sim {
 
@@ -67,16 +68,16 @@ bool EventQueue::pop_and_run_before_key(SimTime when_limit,
     p.fn.reset();
     release_slot(front.id);
   } else {
-    // Timer fire: the callback lives in the QueueTimer (stable storage), so
-    // it runs in place and may rearm itself; the slot stays bound.
+    // Timer fire: the callback lives in the Timer (stable storage), so it
+    // runs in place and may rearm itself; the slot stays bound.
     p.timer->fn_();
   }
   return true;
 }
 
-// -------------------------------------------------------------- QueueTimer
+// -------------------------------------------------------------------- Timer
 
-std::uint32_t EventQueue::timer_bind(QueueTimer* t) {
+std::uint32_t EventQueue::timer_bind(Timer* t) {
   const std::uint32_t slot = acquire_slot();
   payload(slot).timer = t;
   return slot;
@@ -86,31 +87,6 @@ void EventQueue::timer_release(std::uint32_t slot) {
   heap_.remove(slot);
   payload(slot).timer = nullptr;
   release_slot(slot);
-}
-
-void QueueTimer::bind(EventQueue& queue, EventCallback fn) {
-  assert(queue_ == nullptr && "timer already bound");
-  assert(fn && "timer needs a callback");
-  queue_ = &queue;
-  fn_ = std::move(fn);
-  slot_ = queue.timer_bind(this);
-}
-
-void QueueTimer::release() {
-  if (queue_ == nullptr) return;
-  queue_->timer_release(slot_);
-  queue_ = nullptr;
-  fn_.reset();
-}
-
-void QueueTimer::arm_keyed(SimTime when, std::uint64_t key) {
-  assert(queue_ != nullptr && "arming an unbound timer");
-  deadline_ = when;
-  queue_->timer_arm(slot_, when, key);
-}
-
-void QueueTimer::cancel() {
-  if (queue_ != nullptr) queue_->timer_cancel(slot_);
 }
 
 }  // namespace mltcp::sim

@@ -20,7 +20,7 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
-class QueueTimer;
+class Timer;  // timer.hpp: owns one slot of this queue across rearms.
 
 /// Min-heap of timestamped callbacks. Events at equal timestamps fire in
 /// ascending order of a 64-bit tiebreak key. Ordinary events get
@@ -29,7 +29,7 @@ class QueueTimer;
 /// scheduling history (the requirement for sharded PDES runs to reproduce
 /// serial output bit-for-bit: scheduling order is partition-dependent, see
 /// src/pdes) pass an explicit canonical key below kOrdinalBand via
-/// schedule_keyed()/QueueTimer::arm_keyed — link deliveries encode
+/// schedule_keyed()/Timer::arm_at_keyed — link deliveries encode
 /// (link rank, per-link FIFO ordinal), and scenario barriers take key 0 so
 /// they apply before everything else at their instant.
 ///
@@ -41,7 +41,7 @@ class QueueTimer;
 ///    uint32 array, with no hashing;
 ///  - callback payloads live in chunked, address-stable storage, so a firing
 ///    callback runs in place (no move-out copy) even when it schedules new
-///    events, and QueueTimer bindings never relocate;
+///    events, and timer slots never relocate;
 ///  - ordering lives in an IndexedMinHeap4 of 24-byte (timestamp, sequence,
 ///    slot) entries that knows each slot's position: cancel removes the
 ///    entry and a timer rearm re-keys it in place, so the heap holds exactly
@@ -126,7 +126,7 @@ class EventQueue {
   std::size_t slot_capacity() const { return gens_.size(); }
 
  private:
-  friend class QueueTimer;
+  friend class Timer;
 
   static constexpr std::uint32_t kNullSlot = 0xffffffffu;
   /// Key bound above every key, for pops limited by time alone: no push
@@ -151,13 +151,13 @@ class EventQueue {
   };
 
   /// Per-slot storage that must not move: one-shot callbacks run in place
-  /// from here, and timer slots keep a back-pointer to their QueueTimer
-  /// (which owns the callback) across rearms. Allocated in fixed-size chunks
+  /// from here, and timer slots keep a back-pointer to their Timer (which
+  /// owns the callback) across rearms. Allocated in fixed-size chunks
   /// so addresses are stable while the table grows.
   struct SlotPayload {
     // Metadata first: for small captures, the timer tag and the callback
     // header all land on the slot's first cache line.
-    QueueTimer* timer = nullptr;
+    Timer* timer = nullptr;
     EventCallback fn;
   };
 
@@ -201,8 +201,8 @@ class EventQueue {
         when, key == kOrdinalBand ? kOrdinalBand | ordinal : key, slot});
   }
 
-  // QueueTimer support (slots that persist across fires).
-  std::uint32_t timer_bind(QueueTimer* t);
+  // Timer support (slots that persist across fires).
+  std::uint32_t timer_bind(Timer* t);
   void timer_release(std::uint32_t slot);
   void timer_arm(std::uint32_t slot, SimTime when, std::uint64_t key) {
     push_entry(when, key, slot);
@@ -220,62 +220,6 @@ class EventQueue {
   /// cold payload memory.
   std::vector<std::uint32_t> free_;
   std::uint64_t seq_ = 0;  ///< Total pushes; FIFO tiebreak source.
-};
-
-/// Reusable timer handle for periodic / frequently rearmed events (link
-/// transmission-done, TCP RTO, pacing, delayed ACKs). The callback is bound
-/// once and owned by the timer; arm() re-keys a pending deadline in place,
-/// so a rearm is one heap operation — no callback destruction,
-/// reconstruction or allocation, and no per-rearm id to track.
-///
-/// Determinism: a rearm takes a fresh FIFO sequence number, so event
-/// ordering is identical to the cancel + schedule pattern it replaces.
-///
-/// Lifetime rules: the timer must outlive its pending deadline's fire (it
-/// cancels on destruction) and must be destroyed before the EventQueue it is
-/// bound to. The callback must not destroy its own timer from within an
-/// invocation.
-class QueueTimer {
- public:
-  QueueTimer() = default;
-  QueueTimer(EventQueue& queue, EventCallback fn) {
-    bind(queue, std::move(fn));
-  }
-  ~QueueTimer() { release(); }
-
-  QueueTimer(const QueueTimer&) = delete;
-  QueueTimer& operator=(const QueueTimer&) = delete;
-
-  /// Binds the timer to a queue and installs its callback. Must be unbound.
-  void bind(EventQueue& queue, EventCallback fn);
-  /// Cancels and returns the slot; the timer becomes unbound.
-  void release();
-  bool bound() const { return queue_ != nullptr; }
-
-  /// (Re)arms the timer to fire at absolute time `when`, replacing any
-  /// pending deadline: the timer fires once, at the latest deadline set.
-  void arm(SimTime when) { arm_keyed(when, EventQueue::kOrdinalBand); }
-  /// Same, with an explicit canonical tiebreak key (see
-  /// EventQueue::schedule_keyed); kOrdinalBand means push order.
-  void arm_keyed(SimTime when, std::uint64_t key);
-  /// Cancels the pending deadline, if any. The binding survives.
-  void cancel();
-  bool pending() const {
-    return queue_ != nullptr && queue_->timer_pending(slot_);
-  }
-  /// Deadline of the pending fire; meaningless unless pending().
-  SimTime deadline() const { return deadline_; }
-  /// The queue this timer is bound to (null when unbound). Lets sim::Timer
-  /// assert that a lazily attached timer is only rearmed from its own shard.
-  EventQueue* queue() const { return queue_; }
-
- private:
-  friend class EventQueue;
-
-  EventQueue* queue_ = nullptr;
-  std::uint32_t slot_ = 0;
-  SimTime deadline_ = 0;
-  EventCallback fn_;
 };
 
 }  // namespace mltcp::sim

@@ -66,18 +66,8 @@ Job* Cluster::add_job(const JobSpec& spec) {
     if (tcp::TcpFlow* flow = channel->tcp()) raw_flows.push_back(flow);
   }
 
-  JobConfig cfg;
-  cfg.name = spec.name;
-  cfg.compute_time = spec.compute_time;
-  cfg.noise_stddev_seconds = spec.noise_stddev_seconds;
-  cfg.start_time = spec.start_time;
-  cfg.max_iterations = spec.max_iterations;
-  cfg.gate_period = spec.gate_period;
-  cfg.comm_chunks = spec.comm_chunks;
-  cfg.chunk_gap = spec.chunk_gap;
-
-  auto job = std::make_unique<Job>(sim_, cfg, std::move(bindings),
-                                   rng_.fork());
+  auto job = std::make_unique<Job>(sim_, static_cast<const JobConfig&>(spec),
+                                   std::move(bindings), rng_.fork());
   Job* ptr = job.get();
   jobs_.push_back(std::move(job));
   flows_by_job_.push_back(std::move(raw_flows));

@@ -15,19 +15,10 @@
 
 namespace mltcp::workload {
 
-/// Everything needed to instantiate one job on the cluster.
-struct JobSpec {
-  std::string name;
+/// Everything needed to instantiate one job on the cluster: the job's own
+/// JobConfig plus the flows that carry its communication.
+struct JobSpec : JobConfig {
   std::vector<FlowSpec> flows;
-  sim::SimTime compute_time = 0;
-  double noise_stddev_seconds = 0.0;
-  sim::SimTime start_time = 0;
-  int max_iterations = 0;
-  /// See JobConfig::gate_period (centralized schedule enforcement).
-  sim::SimTime gate_period = 0;
-  /// See JobConfig::comm_chunks (pipeline/microbatched communication).
-  int comm_chunks = 1;
-  sim::SimTime chunk_gap = 0;
   /// Congestion controller per flow. Must be set.
   tcp::CcFactory cc;
   tcp::SenderConfig sender;

@@ -22,6 +22,7 @@
 #include "pdes/channel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MLTCP_ASAN_ALLOC_HOOKS 1
@@ -130,13 +131,14 @@ TEST(AllocFree, OneShotScheduleFireCycleIsAllocationFree) {
 }
 
 TEST(AllocFree, TimerRearmStormIsAllocationFree) {
-  sim::EventQueue q;
+  sim::Simulator s;
+  sim::EventQueue& q = s.event_queue();
   std::int64_t fired = 0;
-  sim::QueueTimer rto(q, [&fired] { ++fired; });
+  sim::Timer rto(s, [&fired] { ++fired; });
   sim::SimTime now = 0;
   const auto cycle = [&](int iters) {
     for (int i = 0; i < iters; ++i) {
-      rto.arm(now + 1'000'000);
+      rto.arm_at(now + 1'000'000);
       q.schedule(now + 1, [] {});
       now = q.pop_and_run();
     }

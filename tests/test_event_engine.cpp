@@ -1,6 +1,7 @@
 // Event-engine regression tests: generation-tagged id exactness across slot
 // reuse, a heap that holds exactly the pending events through cancel/rearm
-// storms, reusable-timer semantics, the (when, key) order of canonically
+// storms, reusable-timer semantics and footprint, a timer's attachment to
+// the shard that first arms it, the (when, key) order of canonically
 // keyed events, and a randomized differential check of pop ordering (with
 // timers re-keyed both ways) against a reference priority structure.
 
@@ -83,12 +84,13 @@ TEST(EventEngineIds, ManyReusesOfOneSlotStayExact) {
 // -------------------------------------------------------- bounded memory
 
 TEST(EventEngineMemory, RtoRearmStormStaysBounded) {
-  sim::EventQueue q;
+  sim::Simulator s;
+  sim::EventQueue& q = s.event_queue();
   int fired = 0;
-  sim::QueueTimer rto(q, [&fired] { ++fired; });
+  sim::Timer rto(s, [&fired] { ++fired; });
   sim::SimTime now = 0;
   for (int i = 0; i < 200'000; ++i) {
-    rto.arm(now + 1'000'000);  // pushed out before every fire, like an RTO
+    rto.arm_at(now + 1'000'000);  // pushed out before every fire, like an RTO
     q.schedule(now + 1, [] {});
     now = q.pop_and_run();
   }
@@ -180,6 +182,43 @@ TEST(Timer, CallbackMayRearmItself) {
   t.arm(5);
   s.run();
   EXPECT_EQ(fires, (std::vector<sim::SimTime>{5, 15, 25}));
+}
+
+TEST(Timer, HoldsOneCallback) {
+  // Three timers ride on every TCP connection; a second (dead) callback
+  // copy would be most of each timer's footprint.
+  EXPECT_LT(sizeof(sim::Timer), 2 * sizeof(sim::EventCallback));
+}
+
+TEST(Timer, FirstArmAttachesToTheArmingShard) {
+  sim::Simulator s;
+  s.configure_shards(2);
+  const sim::EventQueue& root = s.shard_context(0).queue;
+  const sim::EventQueue& shard1 = s.shard_context(1).queue;
+  {
+    sim::Timer t(s, [] {});
+    // bind takes no slot; the first arm takes one in the arming shard.
+    EXPECT_EQ(root.slot_capacity() + shard1.slot_capacity(), 0u);
+    {
+      sim::Simulator::ShardGuard guard(s, 1);
+      t.arm(100);
+      EXPECT_EQ(shard1.size(), 1u);
+      EXPECT_EQ(root.size(), 0u);
+      EXPECT_EQ(root.slot_capacity(), 0u);
+      t.arm(200);  // a rearm re-keys the one entry in place
+      EXPECT_EQ(shard1.size(), 1u);
+    }
+    t.cancel();  // cancel needs no guard: the timer knows its queue
+    EXPECT_EQ(shard1.size(), 0u);
+    {
+      sim::Simulator::ShardGuard guard(s, 1);
+      t.arm(300);
+    }
+    EXPECT_EQ(shard1.size(), 1u);
+  }
+  // Destruction returned the pending slot to shard 1's queue.
+  EXPECT_EQ(shard1.size(), 0u);
+  EXPECT_EQ(root.size(), 0u);
 }
 
 // ------------------------------------------------------- (when, key) order
@@ -330,7 +369,8 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
   // exactly the queue's FIFO-at-equal-timestamp contract. A timer rearm
   // takes a fresh FIFO position, so the reference erases and re-inserts it.
   sim::Rng rng(0xE7E47);
-  sim::EventQueue q;
+  sim::Simulator s;
+  sim::EventQueue& q = s.event_queue();
   std::multimap<sim::SimTime, int> ref;
   std::unordered_map<int, sim::EventId> ids;
   std::vector<int> fired;
@@ -339,9 +379,9 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
 
   // Timers carry tokens -1..-4 and re-arm in place, to earlier and to later
   // deadlines than the one they hold.
-  std::array<sim::QueueTimer, 4> timers;
+  std::array<sim::Timer, 4> timers;
   for (int t = 0; t < 4; ++t) {
-    timers[t].bind(q, [t, &fired] { fired.push_back(-1 - t); });
+    timers[t].bind(s, [t, &fired] { fired.push_back(-1 - t); });
   }
   int rekeyed_earlier = 0;
   int rekeyed_later = 0;
@@ -385,7 +425,7 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
       pop_and_check();
     } else {
       const auto t = static_cast<int>(rng.uniform_int(0, 3));
-      sim::QueueTimer& timer = timers[t];
+      sim::Timer& timer = timers[t];
       if (op == 10) {
         const sim::SimTime when = now + rng.uniform_int(0, 40);
         if (timer.pending()) {
@@ -393,7 +433,7 @@ TEST(EventEngineDifferential, MatchesReferenceOrderingUnderChurn) {
           rekeyed_later += when > timer.deadline();
         }
         erase_ref(-1 - t);
-        timer.arm(when);
+        timer.arm_at(when);
         ref.emplace(when, -1 - t);
       } else {
         erase_ref(-1 - t);
