@@ -2,22 +2,25 @@
 """Records one bench's runs into results/BENCH_*.json.
 
 Usage:
-  bench/record_baseline.py BENCH [--section=S] [-- ARGS]
+  bench/record_baseline.py BENCH [--section=S] [--tree=DIR] [-- ARGS]
 
-Runs build/bench/BENCH with ARGS (the bench's own flags, e.g. --quick for
-cluster_scale) from the repository root and parses its runs:
+Runs DIR/build/bench/BENCH with ARGS (the bench's own flags, e.g. --quick
+for cluster_scale) from DIR and parses its runs:
 `RESULT k=v ...` lines from cluster_scale and runner_scaling, google-
 benchmark's --benchmark_format=json from micro_benchmarks (the median row
 when repetitions are on). cluster_scale writes results/BENCH_scale.json; the
-other two write results/BENCH_engine.json.
+other two write results/BENCH_engine.json. DIR defaults to this repository;
+another checkout (say, a clone of the parent commit with its own build/)
+records the other side of a before/after pair into this repository's
+results/, stamped with DIR's commit.
 
 Schema 2: {"schema": 2, "<section>": {"commit", "cpus", "args", "runs"}}.
-`commit` is `git rev-parse --short HEAD`, suffixed "-dirty" when src/,
-bench/ or CMakeLists.txt differ from it; `cpus` is `nproc`; `args` lists
-the command lines recorded into the section. Recording into a section
-written at the same commit adds to it (a run replaces the run with the same
-name, jobs, shards and threads); at another commit the section starts
-afresh.
+`commit` is DIR's `git rev-parse --short HEAD`, suffixed "-dirty" when
+its src/, bench/ or CMakeLists.txt differ from it; `cpus` is `nproc`;
+`args` lists the command lines recorded into the section. Recording into a
+section written at the same commit adds to it (a run replaces the run with
+the same name, jobs, shards and threads); at another commit the section
+starts afresh.
 
 It gates nothing: bench/perf_pairs.py compares wall time with the parent
 commit (recording through the helpers below), and the cluster_scale_quick
@@ -52,12 +55,12 @@ def cpus():
     return len(os.sched_getaffinity(0))  # What nproc counts.
 
 
-def run_bench(bench, args):
-    """Runs the bench, echoing RESULT-style output; returns its stdout."""
-    cmd = [os.path.join(ROOT, "build", "bench", bench), *args]
+def run_bench(bench, args, tree):
+    """Runs tree's bench, echoing RESULT-style output; returns its stdout."""
+    cmd = [os.path.join(tree, "build", "bench", bench), *args]
     if bench == "micro_benchmarks":
         cmd.append("--benchmark_format=json")
-    proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = []
     for line in proc.stdout:
         lines.append(line)
@@ -114,9 +117,9 @@ def save(path, doc):
         f.write("\n")
 
 
-def record(path, section, bench, args, runs):
+def record(path, section, bench, args, runs, tree=ROOT):
     doc = load(path)
-    stamp = commit()
+    stamp = commit(tree)
     command = " ".join([bench, *args])
     old = doc.get(section)
     if old is not None and old["commit"] == stamp:
@@ -137,16 +140,17 @@ def main():
     bench_args = argv[split + 1:]
     parser = argparse.ArgumentParser(
         add_help=False,
-        usage="%(prog)s BENCH [--section=S] [-- ARGS]")
+        usage="%(prog)s BENCH [--section=S] [--tree=DIR] [-- ARGS]")
     parser.add_argument("bench", choices=sorted(OUTPUT))
     parser.add_argument("--section", default="current")
+    parser.add_argument("--tree", default=ROOT, type=os.path.abspath)
     opts = parser.parse_args(argv[:split])
 
-    runs = parse_runs(opts.bench, run_bench(opts.bench, bench_args))
+    runs = parse_runs(opts.bench, run_bench(opts.bench, bench_args, opts.tree))
     if not runs:
         sys.exit(f"{opts.bench} printed no runs; nothing recorded")
     record(os.path.join(ROOT, "results", OUTPUT[opts.bench]), opts.section,
-           opts.bench, bench_args, runs)
+           opts.bench, bench_args, runs, opts.tree)
 
 
 if __name__ == "__main__":

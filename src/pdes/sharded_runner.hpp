@@ -56,9 +56,9 @@ struct ShardStats {
 ///
 /// Limitations: no tracer may be attached to the simulator (Perfetto export
 /// remains a serial-mode guarantee; the constructor throws), and a scenario
-/// must be switched to manual replay (set_manual_replay) so its events
-/// apply at global barriers between phases instead of on a single shard's
-/// timer.
+/// engine must be given the partition's shard map
+/// (ScenarioEngine::set_shard_mapper) so its events apply at global
+/// barriers between phases instead of on a single shard's timer.
 class ShardedRunner {
  public:
   enum class Mode { kAuto, kCooperative, kThreaded };
@@ -75,9 +75,10 @@ class ShardedRunner {
   ShardedRunner(const ShardedRunner&) = delete;
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
-  /// Attaches a manual-replay scenario engine: its events become global
-  /// barriers — all shards run up to (exclusive) each event time, the event
-  /// applies serially on the calling thread, and execution resumes.
+  /// Attaches a scenario engine in barrier replay (set_shard_mapper): its
+  /// events become global barriers — all shards run up to (exclusive) each
+  /// event time, the event applies serially on the calling thread, and
+  /// execution resumes.
   void set_scenario(scenario::ScenarioEngine* engine) { engine_ = engine; }
 
   /// Runs every shard until simulated time `deadline` (inclusive, matching

@@ -102,11 +102,11 @@ void ScenarioEngine::install(const Scenario& scenario) {
   std::stable_sort(events_.begin(), events_.end(),
                    [](const Event& a, const Event& b) { return a.at < b.at; });
   next_ = 0;
-  // Manual replay (sharded runs): the coordinator pulls events through
-  // next_event_time()/apply_through() at global barriers; no timer. The
-  // serial timer arms at the barrier key so an event applies before
+  // Sharded runs (a shard mapper is set): the coordinator pulls events
+  // through next_event_time()/apply_through() at global barriers; no timer.
+  // The serial timer arms at the barrier key so an event applies before
   // everything else at its instant — exactly what the barriers enforce.
-  if (!manual_) {
+  if (!ctx_.shard_mapper_) {
     timer_.arm_at_keyed(events_.front().at, sim::EventQueue::kBarrierKey);
   }
 }
@@ -184,9 +184,7 @@ void ScenarioEngine::apply(const Event& e) {
       const auto& hosts = eng.topo_.hosts();
       sim::Simulator::ShardGuard guard(
           eng.sim_,
-          eng.shard_mapper_
-              ? eng.shard_mapper_(hosts[static_cast<std::size_t>(a.src_host)])
-              : 0);
+          eng.ctx_.shard_of(hosts[static_cast<std::size_t>(a.src_host)]));
       flow->send_message(a.bytes, [](sim::SimTime) {});
       return true;
     }
@@ -198,15 +196,11 @@ void ScenarioEngine::apply(const Event& e) {
           eng.sim_, eng.cluster_, eng.topo_.hosts(),
           traffic::SourceOptions{
               [] { return std::make_unique<tcp::RenoCC>(); }, {}, {}});
-      // Sharded runs: split the replay into per-shard lanes so each
-      // arrival's events start in the shard owning its source host.
-      if (eng.shard_mapper_) {
-        source->set_lane_map(
-            [mapper = eng.shard_mapper_](const net::Host* h) {
-              return mapper(h);
-            },
-            eng.shards_);
-      }
+      // One lane per shard (one in a serial run), so each arrival's events
+      // start in the shard owning its source host.
+      source->set_lane_map(
+          [&ctx = eng.ctx_](const net::Host* h) { return ctx.shard_of(h); },
+          eng.shards_);
       source->install(a.config);
       eng.traffic_.push_back(std::move(source));
       eng.traffic_labels_.push_back(a.label);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -70,40 +71,37 @@ class ScenarioEngine {
   /// names are not checked: a job_arrival may create the job later.
   void install(const Scenario& scenario);
 
-  // -- Manual replay (sharded execution) -----------------------------------
+  // -- Barrier replay (sharded execution) ----------------------------------
 
-  /// Switches the engine to externally-driven replay: install() stops
-  /// arming the timer and a coordinator (pdes::ShardedRunner) pulls events
-  /// through next_event_time()/apply_through() at global barriers instead.
-  /// Call before install().
-  void set_manual_replay(bool manual) { manual_ = manual; }
+  /// Sharded runs: maps a node to the shard that owns it, so actions that
+  /// initiate traffic (BackgroundBurst sends, TrafficBurst lanes, JobArrival
+  /// spawns via EngineContext) place their events in the right shard's
+  /// queue; `shards` is the shard count, one traffic lane per shard. It also
+  /// switches the engine to barrier replay: install() arms no timer, and a
+  /// coordinator (pdes::ShardedRunner) pulls events through
+  /// next_event_time()/apply_through() at global barriers instead. Call
+  /// before install(); unset = serial replay off the engine's timer.
+  void set_shard_mapper(std::function<int(const net::Node*)> mapper,
+                        int shards) {
+    assert(events_.empty() && "set_shard_mapper() must precede install()");
+    ctx_.shard_mapper_ = std::move(mapper);
+    shards_ = shards;
+  }
 
   /// Time of the next unapplied event; kTimeInfinity when drained.
-  /// Manual-replay use.
+  /// Barrier-replay use.
   sim::SimTime next_event_time() const {
     return next_ < events_.size() ? events_[next_].at : sim::kTimeInfinity;
   }
 
   /// Applies every unapplied event with `at <= when`, in (time, insertion)
-  /// order. Manual-replay use: the caller guarantees the simulation is at a
-  /// global barrier at `when`.
+  /// order. Barrier-replay use: the caller guarantees the simulation is at
+  /// a global barrier at `when`.
   void apply_through(sim::SimTime when) {
     while (next_ < events_.size() && events_[next_].at <= when) {
       apply(events_[next_]);
       ++next_;
     }
-  }
-
-  /// Sharded runs: maps a node to the shard that owns it, so actions that
-  /// initiate traffic (BackgroundBurst sends, TrafficBurst sources,
-  /// JobArrival spawns via EngineContext) place their events in the right
-  /// shard's queue. `shards` is the shard count, handed to per-lane traffic
-  /// sources. Unset = serial behaviour.
-  void set_shard_mapper(std::function<int(const net::Node*)> mapper,
-                        int shards) {
-    shard_mapper_ = std::move(mapper);
-    ctx_.shard_mapper_ = shard_mapper_;
-    shards_ = shards;
   }
 
   /// Events applied so far.
@@ -138,9 +136,7 @@ class ScenarioEngine {
   EngineContext ctx_;
   std::vector<Event> events_;  ///< Sorted by (at, insertion order).
   std::size_t next_ = 0;
-  sim::Timer timer_;
-  bool manual_ = false;  ///< Replay driven externally (sharded runs).
-  std::function<int(const net::Node*)> shard_mapper_;  ///< Null when serial.
+  sim::Timer timer_;  ///< Serial replay only.
   int shards_ = 1;
   /// Legacy background channels, keyed by (src, dst) host index so repeated
   /// bursts between a pair share one connection.

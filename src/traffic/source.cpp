@@ -15,21 +15,22 @@ TrafficSource::TrafficSource(sim::Simulator& simulator,
     : sim_(simulator),
       cluster_(cluster),
       hosts_(std::move(hosts)),
-      opts_(std::move(options)),
-      timer_(simulator, [this] { on_timer(); }) {
+      opts_(std::move(options)) {
   assert(opts_.cc != nullptr && "SourceOptions.cc must be set");
 }
 
 void TrafficSource::install(std::vector<FlowArrival> arrivals) {
   assert(arrivals_.empty() && "install() must be called at most once");
   const std::size_t n = hosts_.size();
+  const auto fail = [](auto... what) {
+    std::ostringstream msg;
+    (msg << ... << what);
+    throw std::invalid_argument(msg.str());
+  };
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const FlowArrival& a = arrivals[i];
-    const auto reject = [i](auto... what) {
-      std::ostringstream msg;
-      msg << "traffic arrival " << i << ": ";
-      (msg << ... << what);
-      throw std::invalid_argument(msg.str());
+    const auto reject = [&](auto... what) {
+      fail("traffic arrival ", i, ": ", what...);
     };
     if (a.src < 0 || static_cast<std::size_t>(a.src) >= n) {
       reject("src ", a.src, " is outside [0, ", n, ")");
@@ -44,96 +45,40 @@ void TrafficSource::install(std::vector<FlowArrival> arrivals) {
              arrivals[i - 1].at, " ns");
     }
   }
+  for (const net::Host* host : hosts_) {
+    const int lane = lane_of_(host);
+    if (lane < 0 || lane >= lane_count_) {
+      fail("traffic host ", host_lane_.size(), ": lane ", lane,
+           " is outside [0, ", lane_count_, ")");
+    }
+    host_lane_.push_back(lane);
+  }
   if (arrivals.empty()) return;  // Nothing scheduled: zero perturbation.
   arrivals_ = std::move(arrivals);
-  next_ = 0;
   flows_.assign(n * n, nullptr);
-  if (lane_of_ == nullptr) {
-    records_.reserve(arrivals_.size());
-    timer_.arm_at(arrivals_.front().at);
-    return;
+  records_.reserve(arrivals_.size());
+  if (lane_count_ > 1) {
+    // Lanes run concurrently, so channels are created up front, walking the
+    // arrival list in its order: the cluster assigns the exact flow ids one
+    // lane's lazy first-use creation would, and lanes only look them up.
+    for (const FlowArrival& a : arrivals_) flow_for(a.src, a.dst);
+    records_.resize(arrivals_.size());
   }
 
-  // Lane mode. Channels are created up front, walking the arrival list in
-  // its serial order, so the cluster assigns the exact flow ids a serial
-  // replay's lazy first-use creation would — lanes then only look them up.
-  for (const FlowArrival& a : arrivals_) flow_for(a.src, a.dst);
-  // Records are written by arrival index: slots are disjoint across lanes,
-  // and posted slots read back in arrival order == serial push order.
-  records_.assign(arrivals_.size(), FctRecord{});
-  posted_flags_.assign(arrivals_.size(), 0);
-
-  lane_states_.reserve(static_cast<std::size_t>(lanes_));
-  for (int i = 0; i < lanes_; ++i) {
-    lane_states_.push_back(std::make_unique<Lane>(sim_, this, i));
-  }
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    const FlowArrival& a = arrivals_[i];
-    const int lane = lane_of_(hosts_[static_cast<std::size_t>(a.src)]);
-    assert(lane >= 0 && lane < lanes_ && "lane map out of range");
-    lane_states_[static_cast<std::size_t>(lane)]->order.push_back(i);
-  }
-  for (int i = 0; i < lanes_; ++i) {
-    Lane& lane = *lane_states_[static_cast<std::size_t>(i)];
-    if (lane.order.empty()) continue;
+  for (int i = 0; i < lane_count_; ++i) {
+    lanes_.push_back(std::make_unique<Lane>(sim_, this, i));
+    Lane& lane = *lanes_.back();
+    lane.next = next_in_lane(i, 0);
+    if (lane.next == arrivals_.size()) continue;
     // First arm binds the timer's queue slot: do it in the lane's shard so
-    // every replay event of this lane runs there.
+    // every replay event of this lane runs there (shard 0 is the root).
     sim::Simulator::ShardGuard guard(sim_, i);
-    lane.timer.arm_at(arrivals_[lane.order.front()].at);
+    lane.timer.arm_at(arrivals_[lane.next].at);
   }
 }
 
 void TrafficSource::install(const TrafficConfig& cfg) {
   install(generate_arrivals(cfg, static_cast<int>(hosts_.size())));
-}
-
-const std::vector<FctRecord>& TrafficSource::records() const {
-  if (!lane_states_.empty() && !compacted_) {
-    // Compact only once the replay has drained: dropping slots while lanes
-    // could still post would invalidate the arrival-index addressing.
-    bool drained = true;
-    for (const auto& lane : lane_states_) {
-      if (lane->next < lane->order.size()) drained = false;
-    }
-    if (drained) {
-      std::vector<FctRecord> kept;
-      kept.reserve(records_.size());
-      for (std::size_t i = 0; i < records_.size(); ++i) {
-        if (posted_flags_[i] != 0) kept.push_back(records_[i]);
-      }
-      records_ = std::move(kept);
-      compacted_ = true;
-    }
-  }
-  return records_;
-}
-
-std::size_t TrafficSource::posted() const {
-  if (lane_states_.empty()) return posted_;
-  std::size_t n = 0;
-  for (const auto& lane : lane_states_) n += lane->posted;
-  return n;
-}
-
-std::size_t TrafficSource::completed() const {
-  if (lane_states_.empty()) return completed_;
-  std::size_t n = 0;
-  for (const auto& lane : lane_states_) n += lane->completed;
-  return n;
-}
-
-std::int64_t TrafficSource::bytes_posted() const {
-  if (lane_states_.empty()) return bytes_posted_;
-  std::int64_t n = 0;
-  for (const auto& lane : lane_states_) n += lane->bytes_posted;
-  return n;
-}
-
-std::int64_t TrafficSource::bytes_completed() const {
-  if (lane_states_.empty()) return bytes_completed_;
-  std::int64_t n = 0;
-  for (const auto& lane : lane_states_) n += lane->bytes_completed;
-  return n;
 }
 
 std::vector<double> TrafficSource::completed_fcts_seconds() const {
@@ -145,43 +90,36 @@ std::vector<double> TrafficSource::completed_fcts_seconds() const {
   return out;
 }
 
-void TrafficSource::on_timer() {
-  while (next_ < arrivals_.size() && arrivals_[next_].at <= sim_.now()) {
-    post(next_, nullptr);
-    ++next_;
+void TrafficSource::on_timer(int lane_index) {
+  Lane& lane = *lanes_[static_cast<std::size_t>(lane_index)];
+  while (lane.next < arrivals_.size() &&
+         arrivals_[lane.next].at <= sim_.now()) {
+    post(lane.next, lane);
+    lane.next = next_in_lane(lane_index, lane.next + 1);
   }
-  if (next_ < arrivals_.size()) timer_.arm_at(arrivals_[next_].at);
+  if (lane.next < arrivals_.size()) lane.timer.arm_at(arrivals_[lane.next].at);
 }
 
-void TrafficSource::on_lane_timer(int lane_index) {
-  Lane& lane = *lane_states_[static_cast<std::size_t>(lane_index)];
-  while (lane.next < lane.order.size() &&
-         arrivals_[lane.order[lane.next]].at <= sim_.now()) {
-    post(lane.order[lane.next], &lane);
-    ++lane.next;
+std::size_t TrafficSource::next_in_lane(int lane_index,
+                                        std::size_t from) const {
+  // Every lane walks the whole list, stepping over other lanes' arrivals.
+  while (from < arrivals_.size() &&
+         host_lane_[static_cast<std::size_t>(arrivals_[from].src)] !=
+             lane_index) {
+    ++from;
   }
-  if (lane.next < lane.order.size()) {
-    lane.timer.arm_at(arrivals_[lane.order[lane.next]].at);
-  }
+  return from;
 }
 
-void TrafficSource::post(std::size_t index, Lane* lane) {
+void TrafficSource::post(std::size_t index, Lane& lane) {
   const FlowArrival& a = arrivals_[index];
   workload::Channel* flow = flow_for(a.src, a.dst);
 
-  std::size_t record_index;
-  if (lane == nullptr) {
-    record_index = records_.size();
-    records_.push_back(FctRecord{sim_.now(), -1, a.bytes, a.src, a.dst});
-    ++posted_;
-    bytes_posted_ += a.bytes;
-  } else {
-    record_index = index;
-    records_[index] = FctRecord{sim_.now(), -1, a.bytes, a.src, a.dst};
-    posted_flags_[index] = 1;
-    ++lane->posted;
-    lane->bytes_posted += a.bytes;
-  }
+  // One lane posts in list order, so `index` is the next record to append.
+  if (index == records_.size()) records_.emplace_back();
+  records_[index] = FctRecord{sim_.now(), -1, a.bytes, a.src, a.dst};
+  ++lane.posted;
+  lane.bytes_posted += a.bytes;
 
   if (auto* t = telemetry::tracer_for(sim_, telemetry::Category::kTraffic)) {
     t->instant(telemetry::Category::kTraffic, "traffic_arrival", sim_.now(),
@@ -189,16 +127,11 @@ void TrafficSource::post(std::size_t index, Lane* lane) {
                static_cast<double>(a.bytes));
   }
 
-  flow->send_message(a.bytes, [this, record_index, lane](sim::SimTime when) {
-    FctRecord& r = records_[record_index];
+  flow->send_message(a.bytes, [this, index, &lane](sim::SimTime when) {
+    FctRecord& r = records_[index];
     r.completed = when;
-    if (lane == nullptr) {
-      ++completed_;
-      bytes_completed_ += r.bytes;
-    } else {
-      ++lane->completed;
-      lane->bytes_completed += r.bytes;
-    }
+    ++lane.completed;
+    lane.bytes_completed += r.bytes;
     if (auto* t =
             telemetry::tracer_for(sim_, telemetry::Category::kTraffic)) {
       t->instant(telemetry::Category::kTraffic, "traffic_complete", when,
@@ -208,13 +141,13 @@ void TrafficSource::post(std::size_t index, Lane* lane) {
 }
 
 workload::Channel* TrafficSource::flow_for(std::int32_t src, std::int32_t dst) {
-  // install() validated the pair. Lane mode after install: every channel
-  // exists and lanes run concurrently, so this is a read.
+  // install() validated the pair. With several lanes every channel exists
+  // before the replay starts and lanes run concurrently, so this is a read.
   workload::Channel*& channel =
       flows_[static_cast<std::size_t>(src) * hosts_.size() +
              static_cast<std::size_t>(dst)];
   if (channel == nullptr) {
-    assert(lane_states_.empty() && "lane-mode channel missing from pre-create");
+    assert(lanes_.size() <= 1 && "several lanes only read their channels");
     workload::FlowSpec fs;
     fs.src = hosts_[static_cast<std::size_t>(src)];
     fs.dst = hosts_[static_cast<std::size_t>(dst)];

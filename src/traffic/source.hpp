@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,9 +49,10 @@ struct SourceOptions {
 /// queueing show up in the FCT like it does in production).
 ///
 /// Determinism: the arrival list is generated up front from per-run seeds
-/// (generate_arrivals) and the replay runs off a single timer in list
-/// order, so a run's traffic is a pure function of (config, world) — the
-/// same discipline as the scenario engine.
+/// (generate_arrivals) and each replay lane posts its arrivals in list
+/// order off its own timer — a serial run is one lane — so a run's traffic
+/// is a pure function of (config, world), the same discipline as the
+/// scenario engine.
 class TrafficSource {
  public:
   /// `hosts` maps the arrival list's host indices to real hosts; flows are
@@ -65,66 +67,74 @@ class TrafficSource {
   /// already past fire immediately. Throws std::invalid_argument, naming
   /// the arrival's index, field and value, unless every arrival has `src`
   /// and `dst` in [0, hosts), `src != dst` and `bytes > 0`, and `at` never
-  /// decreases along the list.
+  /// decreases along the list; and, naming the host and its lane, unless
+  /// the lane map puts every host in [0, lanes).
   void install(std::vector<FlowArrival> arrivals);
 
   /// Convenience: generate_arrivals(cfg, hosts.size()) + install.
   void install(const TrafficConfig& cfg);
 
-  /// Sharded runs: splits the replay into per-shard "lanes" — each lane
-  /// owns the arrivals whose source host maps to its shard and replays them
-  /// off its own timer, armed in that shard's context, so an arrival's
-  /// events start in the shard that owns its source host. Lane index ==
-  /// shard index by contract. Call before install().
+  /// Sharded runs: splits the replay into per-shard "lanes". Each lane posts
+  /// the arrivals whose source host maps to it, off its own timer armed in
+  /// that shard's context, so an arrival's events start in the shard that
+  /// owns its source host. Lane index == shard index by contract. Call
+  /// before install(); without a map there is one lane.
   ///
-  /// Lane mode keeps the serial replay's observable sequence: channels are
-  /// pre-created at install() in serial first-use order (identical flow-id
-  /// assignment), records are written by arrival index into a pre-sized
-  /// vector (slots are disjoint across lanes), and records() compacts to
-  /// posted-only in arrival order — exactly what a serial replay pushes.
+  /// Several lanes keep the one-lane replay's observable sequence: channels
+  /// are pre-created at install() in first-use order (identical flow-id
+  /// assignment), and records are written by arrival index into slots sized
+  /// at install() (disjoint across lanes).
   void set_lane_map(std::function<int(const net::Host*)> lane_of, int lanes) {
     assert(arrivals_.empty() && "set_lane_map() must precede install()");
     assert(lanes >= 1);
     lane_of_ = std::move(lane_of);
-    lanes_ = lanes;
+    lane_count_ = lanes;
   }
 
-  /// Per-arrival records, in arrival order. Stable once posted: completion
-  /// fills in `completed` in place. Lane mode: read after the run has
-  /// drained the arrival list (the first fully-drained call compacts).
-  const std::vector<FctRecord>& records() const;
+  /// Per-arrival records of the posted arrivals, in arrival order. Stable
+  /// once posted: completion fills in `completed` in place. Read at rest
+  /// (between runs): the posted arrivals are then a prefix of the list.
+  std::span<const FctRecord> records() const {
+    return {records_.data(), posted()};
+  }
 
   /// Completion times (seconds) of every finished transfer, arrival order.
   std::vector<double> completed_fcts_seconds() const;
 
-  std::size_t posted() const;
-  std::size_t completed() const;
+  std::size_t posted() const { return sum(&Lane::posted); }
+  std::size_t completed() const { return sum(&Lane::completed); }
   /// Transfers posted but unfinished (run ended or still draining).
   std::size_t open() const { return posted() - completed(); }
 
-  std::int64_t bytes_posted() const;
-  std::int64_t bytes_completed() const;
+  std::int64_t bytes_posted() const { return sum(&Lane::bytes_posted); }
+  std::int64_t bytes_completed() const { return sum(&Lane::bytes_completed); }
 
  private:
-  /// Per-shard replay state: the lane's slice of the arrival list plus its
-  /// own counters (summed in the accessors), so concurrent lanes never
-  /// touch shared mutable state.
+  /// One lane's replay state: its timer, its cursor into the arrival list
+  /// and its own counters (summed in the accessors), so concurrent lanes
+  /// never touch shared mutable state.
   struct Lane {
     Lane(sim::Simulator& simulator, TrafficSource* source, int index)
-        : timer(simulator, [source, index] { source->on_lane_timer(index); }) {
-    }
+        : timer(simulator, [source, index] { source->on_timer(index); }) {}
     sim::Timer timer;
-    std::vector<std::size_t> order;  ///< Global arrival indices, sorted.
-    std::size_t next = 0;
+    std::size_t next = 0;  ///< The lane's next arrival; list size when done.
     std::size_t posted = 0;
     std::size_t completed = 0;
     std::int64_t bytes_posted = 0;
     std::int64_t bytes_completed = 0;
   };
 
-  void on_timer();
-  void on_lane_timer(int lane_index);
-  void post(std::size_t index, Lane* lane);
+  template <typename T>
+  T sum(T Lane::*counter) const {
+    T n = 0;
+    for (const auto& lane : lanes_) n += (*lane).*counter;
+    return n;
+  }
+
+  void on_timer(int lane_index);
+  /// The first arrival at or after `from` whose source host is in the lane.
+  std::size_t next_in_lane(int lane_index, std::size_t from) const;
+  void post(std::size_t index, Lane& lane);
   workload::Channel* flow_for(std::int32_t src, std::int32_t dst);
 
   sim::Simulator& sim_;
@@ -133,26 +143,23 @@ class TrafficSource {
   SourceOptions opts_;
 
   std::vector<FlowArrival> arrivals_;  ///< Sorted by (at, order).
-  std::size_t next_ = 0;
-  sim::Timer timer_;
 
-  std::function<int(const net::Host*)> lane_of_;  ///< Null when serial.
-  int lanes_ = 1;
-  std::vector<std::unique_ptr<Lane>> lane_states_;  ///< Empty when serial.
-  std::vector<char> posted_flags_;  ///< Lane mode: per-arrival posted bit.
+  /// Maps a host to its lane; without set_lane_map() all share lane 0.
+  std::function<int(const net::Host*)> lane_of_ = [](const net::Host*) {
+    return 0;
+  };
+  int lane_count_ = 1;
+  std::vector<int> host_lane_;  ///< Lane of each host; built at install().
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   /// Backend-owned channels, reused per ordered host pair and indexed by
-  /// `src * hosts + dst`; sized at install(), filled on first use. Lane
-  /// mode: fully populated at install(), lookup-only afterwards.
+  /// `src * hosts + dst`; sized at install(), filled on first use. Several
+  /// lanes: fully populated at install(), lookup-only afterwards.
   std::vector<workload::Channel*> flows_;
 
-  /// Mutable: records() lazily compacts lane-mode placeholder slots away.
-  mutable std::vector<FctRecord> records_;
-  mutable bool compacted_ = false;
-  std::size_t posted_ = 0;
-  std::size_t completed_ = 0;
-  std::int64_t bytes_posted_ = 0;
-  std::int64_t bytes_completed_ = 0;
+  /// Indexed by arrival: one lane appends as it posts; several lanes write
+  /// slots sized at install().
+  std::vector<FctRecord> records_;
 };
 
 }  // namespace mltcp::traffic

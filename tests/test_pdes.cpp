@@ -355,7 +355,6 @@ std::string dumbbell_run(Exec exec, int shards, bool faulted) {
     const Partition part = pdes::partition_topology(*d.topology, opts);
     EXPECT_EQ(part.shards, shards) << "test expects a real split";
     sim.configure_shards(part.shards);
-    engine.set_manual_replay(true);
     engine.set_shard_mapper(
         [part](const net::Node* n) { return part.shard_of(n); }, part.shards);
     if (faulted) engine.install(s);
@@ -392,8 +391,9 @@ TEST(PdesIdentity, FaultedScenarioMatchesSerial) {
 
 /// Cross-rack ring traffic on a leaf-spine: every flow transits the fabric,
 /// so every shard boundary carries load, including a traffic-matrix burst
-/// replayed in per-shard lanes.
-std::string leaf_spine_run(Exec exec, int shards) {
+/// replayed in per-shard lanes. A nonzero `snapshot` also reads the burst's
+/// records at that instant, between two run_until calls.
+std::string leaf_spine_run(Exec exec, int shards, sim::SimTime snapshot = 0) {
   sim::Simulator sim;
   auto ls = net::make_leaf_spine(sim, leaf_spine_config(4, 2, 2));
   workload::Cluster cluster(sim);
@@ -422,28 +422,34 @@ std::string leaf_spine_run(Exec exec, int shards) {
 
   scenario::ScenarioEngine engine(sim, *ls.topology, cluster);
   const sim::SimTime kEnd = sim::seconds(1);
+  std::ostringstream os;
+  const auto run = [&](auto& driver) {
+    if (snapshot > 0) {
+      driver.run_until(snapshot);
+      append_fcts(engine.traffic_source("mix"), os);
+    }
+    driver.run_until(kEnd);
+  };
   if (exec == Exec::kSerial) {
     engine.install(s);
     cluster.start_all();
-    sim.run_until(kEnd);
+    run(sim);
   } else {
     PartitionOptions opts;
     opts.shards = shards;
     opts.co_locate = pdes::co_locate_senders(specs);
     const Partition part = pdes::partition_topology(*ls.topology, opts);
     sim.configure_shards(part.shards);
-    engine.set_manual_replay(true);
     engine.set_shard_mapper(
         [part](const net::Node* n) { return part.shard_of(n); }, part.shards);
     engine.install(s);
     pdes::ShardedRunner runner(sim, *ls.topology, part, runner_mode(exec));
     runner.set_scenario(&engine);
     pdes::start_all_sharded(cluster, specs, sim, part);
-    runner.run_until(kEnd);
+    run(runner);
     EXPECT_GT(runner.totals().imports, 0u);
   }
 
-  std::ostringstream os;
   os << digest(cluster, *ls.topology);
   append_fcts(engine.traffic_source("mix"), os);
   os << work(exec, sim, engine);
@@ -455,6 +461,15 @@ TEST(PdesIdentity, LeafSpineFourShardsWithTrafficMatchSerial) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, leaf_spine_run(Exec::kCooperative, 4));
   EXPECT_EQ(serial, leaf_spine_run(Exec::kThreaded, 4));
+}
+
+TEST(PdesIdentity, LanedTrafficReadMidReplayMatchesSerial) {
+  // 60 ms lies inside the burst's 20-120 ms window: lanes are mid-replay.
+  const sim::SimTime snapshot = sim::milliseconds(60);
+  const std::string serial = leaf_spine_run(Exec::kSerial, 1, snapshot);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial, leaf_spine_run(Exec::kCooperative, 4, snapshot));
+  EXPECT_EQ(serial, leaf_spine_run(Exec::kThreaded, 4, snapshot));
 }
 
 /// `packets` back-to-back packets across a 1 + 1 dumbbell whose bottleneck
@@ -507,7 +522,6 @@ std::string cut_run(Exec exec, sim::SimTime offset, int packets = 1) {
     }
     EXPECT_TRUE(bottleneck_cut) << "the bottleneck must cross shards";
     sim.configure_shards(part.shards);
-    engine.set_manual_replay(true);
     engine.set_shard_mapper(
         [part](const net::Node* n) { return part.shard_of(n); }, part.shards);
     engine.install(s);

@@ -422,24 +422,34 @@ const std::vector<FlowArrival> kPairArrivals = {
     {sim::microseconds(6), 4, 2, 100}};
 
 TEST(TrafficSource, ChannelsAreKeyedByOrderedPairInFirstUseOrder) {
-  Rig rig;
-  RecordingBackend backend(rig.sim);
-  rig.cluster.set_backend(&backend);
-  const auto hosts = rig.hosts();
-  traffic::TrafficSource source(rig.sim, rig.cluster, hosts,
-                                traffic::SourceOptions{reno(), {}, {}});
-  source.install(kPairArrivals);
-  EXPECT_TRUE(backend.opened.empty());  // Serial replay opens lazily.
-  rig.sim.run();
+  // A serial scenario burst replays through a one-lane map: it must behave
+  // exactly as a source without a map.
+  for (const bool one_lane_map : {false, true}) {
+    SCOPED_TRACE(one_lane_map ? "one-lane map" : "no lane map");
+    Rig rig;
+    RecordingBackend backend(rig.sim);
+    rig.cluster.set_backend(&backend);
+    const auto hosts = rig.hosts();
+    traffic::TrafficSource source(rig.sim, rig.cluster, hosts,
+                                  traffic::SourceOptions{reno(), {}, {}});
+    if (one_lane_map) {
+      source.set_lane_map([](const net::Host*) { return 0; }, 1);
+    }
+    source.install(kPairArrivals);
+    EXPECT_TRUE(backend.opened.empty());  // One lane opens lazily.
+    rig.sim.run();
 
-  // (a, b) and (b, a) are distinct channels, a repeated pair reuses its
-  // channel, and ids follow first use.
-  using O = RecordingBackend::Opened;
-  EXPECT_EQ(backend.opened,
-            (std::vector<O>{{hosts[0], hosts[1], 1}, {hosts[1], hosts[0], 2},
-                            {hosts[4], hosts[2], 3}, {hosts[2], hosts[4], 4}}));
-  EXPECT_EQ(backend.posts, (std::vector<net::FlowId>{1, 2, 1, 3, 2, 4, 3}));
-  EXPECT_EQ(source.completed(), kPairArrivals.size());
+    // (a, b) and (b, a) are distinct channels, a repeated pair reuses its
+    // channel, and ids follow first use.
+    using O = RecordingBackend::Opened;
+    EXPECT_EQ(backend.opened,
+              (std::vector<O>{{hosts[0], hosts[1], 1},
+                              {hosts[1], hosts[0], 2},
+                              {hosts[4], hosts[2], 3},
+                              {hosts[2], hosts[4], 4}}));
+    EXPECT_EQ(backend.posts, (std::vector<net::FlowId>{1, 2, 1, 3, 2, 4, 3}));
+    EXPECT_EQ(source.completed(), kPairArrivals.size());
+  }
 }
 
 TEST(TrafficSource, LaneModeOpensChannelsWithTheSerialReplaysIds) {
@@ -482,6 +492,34 @@ TEST(TrafficSource, LaneModeOpensChannelsWithTheSerialReplaysIds) {
     EXPECT_EQ(index(hosts, l.src), index(serial_hosts, s.src));
     EXPECT_EQ(index(hosts, l.dst), index(serial_hosts, s.dst));
   }
+}
+
+/// The std::invalid_argument message install() throws on a 6-host rig of
+/// `lanes` shards whose lane map puts host `host` in lane `lane` and every
+/// other host in lane 0, or "" when it accepts the map.
+std::string lane_map_error(std::size_t host, int lane, int lanes) {
+  Rig rig;
+  rig.sim.configure_shards(lanes);
+  const auto hosts = rig.hosts();
+  traffic::TrafficSource source(rig.sim, rig.cluster, hosts,
+                                traffic::SourceOptions{reno(), {}, {}});
+  source.set_lane_map(
+      [&](const net::Host* h) { return h == hosts[host] ? lane : 0; }, lanes);
+  try {
+    source.install(kPairArrivals);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TrafficSource, InstallRejectsLaneOutsideLanes) {
+  // Host 3 sends nothing in kPairArrivals: the whole map is checked.
+  EXPECT_EQ(lane_map_error(3, 1, 2), "");
+  EXPECT_EQ(lane_map_error(3, 2, 2),
+            "traffic host 3: lane 2 is outside [0, 2)");
+  EXPECT_EQ(lane_map_error(0, -1, 2),
+            "traffic host 0: lane -1 is outside [0, 2)");
 }
 
 // ------------------------------------------------------------------- jobs
