@@ -4,10 +4,12 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/mltcp.hpp"
+#include "sim/ring.hpp"
 #include "telemetry/tracer.hpp"
 
 namespace mltcp::flowsim {
@@ -82,7 +84,11 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
         f_(std::move(f)) {}
 
   void send_message(std::int64_t bytes, Completion on_complete) override {
-    assert(bytes >= 0);
+    if (bytes <= 0) {
+      throw std::invalid_argument("flowsim flow " + std::to_string(id_) +
+                                  ": message of " + std::to_string(bytes) +
+                                  " bytes is not positive");
+    }
     queue_.push_back(Message{bytes, std::move(on_complete)});
     ++owner_.stats_.messages_posted;
     // A busy channel needs no recompute: the new message queues FIFO
@@ -123,7 +129,7 @@ class FlowSimulator::FlowChannel final : public workload::Channel {
   std::int32_t ordinal_;  ///< Creation index: the canonical channel order.
   std::shared_ptr<const core::AggressivenessFunction> f_;
 
-  std::deque<Message> queue_;  ///< Head = in-flight message (when busy).
+  sim::Ring<Message> queue_;  ///< Head = in-flight message (when busy).
   State state_ = State::kIdle;
   double total_ = 0.0;      ///< Bytes of the head message.
   double remaining_ = 0.0;  ///< Bytes not yet sent, as of settled_at_.

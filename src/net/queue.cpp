@@ -15,18 +15,6 @@ void note_backlog(QueueStats& stats, std::int64_t backlog) {
 }
 }  // namespace
 
-void PacketRing::grow() {
-  const std::size_t old_cap = buf_.size();
-  const std::size_t new_cap = old_cap == 0 ? 8 : old_cap * 2;
-  std::vector<Packet> next(new_cap);
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) next[i] = buf_[(head_ + i) & mask_];
-  buf_ = std::move(next);
-  mask_ = new_cap - 1;
-  head_ = 0;
-  tail_ = n;
-}
-
 void QueueDiscipline::trace_drop(const Packet& pkt, sim::SimTime now) {
   if (trace_sim_ == nullptr) return;
   if (auto* t = telemetry::tracer_for(*trace_sim_,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace mltcp::sim {
@@ -82,38 +83,11 @@ class QueueDiscipline {
 /// Factory used by topology builders so each link gets its own queue.
 using QueueFactory = std::function<std::unique_ptr<QueueDiscipline>()>;
 
-/// Power-of-two ring buffer of packets backing the FIFO disciplines.
-/// Head/tail are monotonic counters masked into the buffer, so wraparound
-/// is a single AND. Grows geometrically (relinearising the contents) and
-/// never shrinks: once a queue has seen its working depth it runs
-/// allocation-free — the forwarding half of the steady-state alloc-free
-/// guarantee (see DESIGN.md "Forwarding path & scale").
-class PacketRing {
- public:
-  bool empty() const { return head_ == tail_; }
-  std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
-  std::size_t capacity() const { return buf_.size(); }
-
-  /// Appends a copy of `pkt` and returns a reference to the stored slot, so
-  /// disciplines that mark on enqueue (ECN CE) can mutate in place instead
-  /// of copying twice.
-  Packet& push_back(const Packet& pkt) {
-    if (size() == buf_.size()) grow();
-    Packet& slot = buf_[tail_++ & mask_];
-    slot = pkt;
-    return slot;
-  }
-  const Packet& front() const { return buf_[head_ & mask_]; }
-  void pop_front() { ++head_; }
-
- private:
-  void grow();
-
-  std::vector<Packet> buf_;
-  std::uint64_t mask_ = 0;
-  std::uint64_t head_ = 0;  ///< Monotonic; buffer index is head_ & mask_.
-  std::uint64_t tail_ = 0;
-};
+/// FIFO of packets backing the FIFO and RED disciplines. Once a queue has
+/// seen its working depth it runs allocation-free, the forwarding half of
+/// the steady-state alloc-free guarantee (see DESIGN.md "Forwarding path &
+/// scale").
+using PacketRing = sim::Ring<Packet>;
 
 /// FIFO with a byte-capacity bound: arrivals beyond capacity are dropped
 /// (drop-tail). Given a `mark_threshold_bytes`, it is also the DCTCP-style

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/tracer.hpp"
 
@@ -41,7 +43,11 @@ std::int64_t TcpSender::segments_for_bytes(std::int64_t bytes) const {
 
 void TcpSender::send_message(std::int64_t bytes,
                              CompletionCallback on_complete) {
-  assert(bytes > 0);
+  if (bytes <= 0) {
+    throw std::invalid_argument("tcp flow " + std::to_string(flow_) +
+                                ": message of " + std::to_string(bytes) +
+                                " bytes is not positive");
+  }
   if (cfg_.slow_start_after_idle && idle() && last_activity_ >= 0 &&
       sim_.now() - last_activity_ > rtt_.rto()) {
     cc_->on_idle_restart(sim_.now());
@@ -104,7 +110,8 @@ std::int32_t TcpSender::payload_for_seq(std::int64_t seq) const {
   // Unacknowledged segments always belong to a message still queued (a
   // message is popped only once fully acked), so the linear scan touches at
   // most the handful of in-flight messages.
-  for (const Message& m : messages_) {
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     if (seq >= m.end_seq) continue;
     if (seq < m.start_seq) break;
     if (seq == m.end_seq - 1) {
@@ -123,7 +130,8 @@ std::int64_t TcpSender::remaining_payload_bytes() const {
   // acknowledged segments are full-size (the short one is the last, and a
   // message with its last segment acked would already be popped).
   std::int64_t remaining = 0;
-  for (const Message& m : messages_) {
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     remaining += m.bytes;
     if (snd_una_ > m.start_seq && snd_una_ < m.end_seq) {
       remaining -= (snd_una_ - m.start_seq) *

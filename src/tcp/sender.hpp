@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "tcp/cong_control.hpp"
@@ -77,6 +77,9 @@ class TcpSender {
 
   /// Appends a message of `bytes` to the stream. Messages complete in FIFO
   /// order; `on_complete` runs when the last segment is acknowledged.
+  /// Throws std::invalid_argument, naming the flow and the size, unless
+  /// `bytes > 0`: an empty message would occupy no segment, so no ACK would
+  /// ever complete it.
   void send_message(std::int64_t bytes, CompletionCallback on_complete);
 
   /// Handles one incoming ACK packet.
@@ -138,7 +141,7 @@ class TcpSender {
     std::int64_t bytes = 0;
     CompletionCallback on_complete;
   };
-  std::deque<Message> messages_;
+  sim::Ring<Message> messages_;
 
   std::int64_t send_limit_ = 0;  ///< One past the last segment to send.
   std::int64_t next_seq_ = 0;

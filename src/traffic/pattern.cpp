@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "sim/random.hpp"
 
@@ -34,40 +35,64 @@ constexpr std::uint64_t kSizeSalt = 0x5349u;     // "SI"
 constexpr std::uint64_t kArrivalSalt = 0x4152u;  // "AR"
 constexpr std::uint64_t kPairSalt = 0x5041u;     // "PA"
 
-/// Draws one flow size. Sizes are at least 1 byte.
-std::int64_t draw_size(const TrafficConfig& cfg, sim::Rng& rng) {
-  switch (cfg.size_dist) {
-    case SizeDist::kFixed:
-      return std::max<std::int64_t>(1, cfg.mean_bytes);
-    case SizeDist::kExponential:
-      return std::max<std::int64_t>(
-          1, std::llround(rng.exponential(
-                 static_cast<double>(cfg.mean_bytes))));
-    case SizeDist::kPareto: {
-      // Bounded Pareto on [xm, max]: inverse-CDF sampling. The scale xm is
-      // chosen so the *unbounded* mean is cfg.mean_bytes
-      // (mean = shape/(shape-1) * xm); truncation pulls the realized mean
-      // slightly below, which is fine for a workload knob.
-      const double shape = std::max(1.01, cfg.pareto_shape);
-      const double xm =
-          static_cast<double>(cfg.mean_bytes) * (shape - 1.0) / shape;
-      const double xmax =
-          cfg.max_bytes > 0 ? static_cast<double>(cfg.max_bytes)
-                            : 1000.0 * static_cast<double>(cfg.mean_bytes);
-      const double ha = std::pow(xm / xmax, shape);
-      const double u = rng.uniform();
-      const double x = xm / std::pow(1.0 - u * (1.0 - ha), 1.0 / shape);
-      return std::max<std::int64_t>(1, std::llround(x));
-    }
+/// The flow-size stream of one generate_arrivals call: its RNG and the
+/// distribution's constants, computed once rather than once per draw.
+class SizeStream {
+ public:
+  SizeStream(const TrafficConfig& cfg, sim::Rng rng)
+      : cfg_(cfg), rng_(std::move(rng)) {
+    if (cfg.size_dist != SizeDist::kPareto) return;
+    // Bounded Pareto on [xm, max]: inverse-CDF sampling. The scale xm is
+    // chosen so the *unbounded* mean is cfg.mean_bytes
+    // (mean = shape/(shape-1) * xm); truncation pulls the realized mean
+    // slightly below, which is fine for a workload knob.
+    const double shape = std::max(1.01, cfg.pareto_shape);
+    xm_ = static_cast<double>(cfg.mean_bytes) * (shape - 1.0) / shape;
+    const double xmax =
+        cfg.max_bytes > 0 ? static_cast<double>(cfg.max_bytes)
+                          : 1000.0 * static_cast<double>(cfg.mean_bytes);
+    one_minus_ha_ = 1.0 - std::pow(xm_ / xmax, shape);
+    inv_shape_ = 1.0 / shape;
   }
-  return 1;
-}
+
+  /// Draws one flow size. Sizes are at least 1 byte.
+  std::int64_t next() {
+    switch (cfg_.size_dist) {
+      case SizeDist::kFixed:
+        return std::max<std::int64_t>(1, cfg_.mean_bytes);
+      case SizeDist::kExponential:
+        return std::max<std::int64_t>(
+            1, std::llround(rng_.exponential(
+                   static_cast<double>(cfg_.mean_bytes))));
+      case SizeDist::kPareto: {
+        const double u = rng_.uniform();
+        const double x =
+            xm_ / std::pow(1.0 - u * one_minus_ha_, inv_shape_);
+        return std::max<std::int64_t>(1, std::llround(x));
+      }
+    }
+    return 1;
+  }
+
+ private:
+  const TrafficConfig& cfg_;
+  sim::Rng rng_;
+  double xm_ = 0.0;
+  double one_minus_ha_ = 0.0;
+  double inv_shape_ = 0.0;
+};
 
 void poisson_pairs(const TrafficConfig& cfg, int n_hosts,
                    const std::vector<std::int32_t>* perm, sim::Rng& pair_rng,
-                   sim::Rng& arrival_rng, sim::Rng& size_rng,
+                   sim::Rng& arrival_rng, SizeStream& sizes,
                    std::vector<FlowArrival>& out) {
   if (cfg.flows_per_second <= 0.0) return;
+  // The count is Poisson: reserve its mean plus eight standard deviations
+  // so the list is built without regrowing.
+  const double expected =
+      cfg.flows_per_second * sim::to_seconds(cfg.stop - cfg.start);
+  out.reserve(static_cast<std::size_t>(expected + 8.0 * std::sqrt(expected) +
+                                       64.0));
   const double mean_gap_s = 1.0 / cfg.flows_per_second;
   sim::SimTime t = cfg.start;
   while (true) {
@@ -86,11 +111,11 @@ void poisson_pairs(const TrafficConfig& cfg, int n_hosts,
           pair_rng.uniform_int(0, n_hosts - 2));
       if (dst >= src) ++dst;  // uniform over the n-1 non-self hosts
     }
-    out.push_back(FlowArrival{t, src, dst, draw_size(cfg, size_rng)});
+    out.push_back(FlowArrival{t, src, dst, sizes.next()});
   }
 }
 
-void incast_epochs(const TrafficConfig& cfg, int n_hosts, sim::Rng& size_rng,
+void incast_epochs(const TrafficConfig& cfg, int n_hosts, SizeStream& sizes,
                    std::vector<FlowArrival>& out) {
   const int fanin =
       cfg.incast_fanin > 0 ? std::min(cfg.incast_fanin, n_hosts - 1)
@@ -107,12 +132,12 @@ void incast_epochs(const TrafficConfig& cfg, int n_hosts, sim::Rng& size_rng,
     for (int k = 1; k <= fanin; ++k) {
       const auto src =
           static_cast<std::int32_t>((victim + k) % n_hosts);
-      out.push_back(FlowArrival{t, src, victim, draw_size(cfg, size_rng)});
+      out.push_back(FlowArrival{t, src, victim, sizes.next()});
     }
   }
 }
 
-void tornado_epochs(const TrafficConfig& cfg, int n_hosts, sim::Rng& size_rng,
+void tornado_epochs(const TrafficConfig& cfg, int n_hosts, SizeStream& sizes,
                     std::vector<FlowArrival>& out) {
   assert(cfg.epoch > 0);
   int round = 0;
@@ -120,19 +145,19 @@ void tornado_epochs(const TrafficConfig& cfg, int n_hosts, sim::Rng& size_rng,
     const int stride = 1 + round % (n_hosts - 1);  // never self-to-self
     for (std::int32_t src = 0; src < n_hosts; ++src) {
       const auto dst = static_cast<std::int32_t>((src + stride) % n_hosts);
-      out.push_back(FlowArrival{t, src, dst, draw_size(cfg, size_rng)});
+      out.push_back(FlowArrival{t, src, dst, sizes.next()});
     }
   }
 }
 
 void all_to_all_epochs(const TrafficConfig& cfg, int n_hosts,
-                       sim::Rng& size_rng, std::vector<FlowArrival>& out) {
+                       SizeStream& sizes, std::vector<FlowArrival>& out) {
   assert(cfg.epoch > 0);
   for (sim::SimTime t = cfg.start; t < cfg.stop; t += cfg.epoch) {
     for (std::int32_t src = 0; src < n_hosts; ++src) {
       for (std::int32_t dst = 0; dst < n_hosts; ++dst) {
         if (dst == src) continue;
-        out.push_back(FlowArrival{t, src, dst, draw_size(cfg, size_rng)});
+        out.push_back(FlowArrival{t, src, dst, sizes.next()});
       }
     }
   }
@@ -166,8 +191,8 @@ std::vector<FlowArrival> generate_arrivals(const TrafficConfig& cfg,
   // Independent streams per concern: the size draw of arrival k never
   // depends on how pairs were chosen, so switching patterns with the same
   // seed keeps size sequences comparable.
-  sim::Rng size_rng(sim::derive_seed(cfg.seed, kSizeSalt),
-                    sim::derive_seed(cfg.seed, kSizeSalt + 1));
+  SizeStream sizes(cfg, sim::Rng(sim::derive_seed(cfg.seed, kSizeSalt),
+                                 sim::derive_seed(cfg.seed, kSizeSalt + 1)));
   sim::Rng arrival_rng(sim::derive_seed(cfg.seed, kArrivalSalt),
                        sim::derive_seed(cfg.seed, kArrivalSalt + 1));
   sim::Rng pair_rng(sim::derive_seed(cfg.seed, kPairSalt),
@@ -175,32 +200,28 @@ std::vector<FlowArrival> generate_arrivals(const TrafficConfig& cfg,
 
   switch (cfg.pattern) {
     case Pattern::kPoisson:
-      poisson_pairs(cfg, n_hosts, nullptr, pair_rng, arrival_rng, size_rng,
-                    out);
+      poisson_pairs(cfg, n_hosts, nullptr, pair_rng, arrival_rng, sizes, out);
       break;
     case Pattern::kIncast:
-      incast_epochs(cfg, n_hosts, size_rng, out);
+      incast_epochs(cfg, n_hosts, sizes, out);
       break;
     case Pattern::kTornado:
-      tornado_epochs(cfg, n_hosts, size_rng, out);
+      tornado_epochs(cfg, n_hosts, sizes, out);
       break;
     case Pattern::kAllToAll:
-      all_to_all_epochs(cfg, n_hosts, size_rng, out);
+      all_to_all_epochs(cfg, n_hosts, sizes, out);
       break;
     case Pattern::kPermutation: {
       const std::vector<std::int32_t> perm =
           make_permutation(n_hosts, pair_rng);
-      poisson_pairs(cfg, n_hosts, &perm, pair_rng, arrival_rng, size_rng,
-                    out);
+      poisson_pairs(cfg, n_hosts, &perm, pair_rng, arrival_rng, sizes, out);
       break;
     }
   }
 
-  // Generation emits in time order per helper already; keep the contract
-  // explicit (and stable for equal timestamps — epoch bursts).
-  std::stable_sort(
-      out.begin(), out.end(),
-      [](const FlowArrival& a, const FlowArrival& b) { return a.at < b.at; });
+  // Every pattern emits in time order (equal instants in generation order),
+  // so the list needs no sort; TrafficSource::install rejects one that
+  // goes back in time.
   return out;
 }
 

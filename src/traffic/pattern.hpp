@@ -94,10 +94,11 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
 };
 
-/// Expands a config into its full arrival list over `n_hosts` hosts, sorted
-/// by (time, generation order). Pure function of (config, n_hosts): campaign
-/// bodies call this inside the run with a per-run seed, so serial and
-/// MLTCP_THREADS=N executions see byte-identical traffic.
+/// Expands a config into its full arrival list over `n_hosts` hosts, in
+/// time order: every pattern emits its arrivals that way (equal instants in
+/// generation order), so no sort runs. Pure function of (config, n_hosts):
+/// campaign bodies call this inside the run with a per-run seed, so serial
+/// and MLTCP_THREADS=N executions see byte-identical traffic.
 std::vector<FlowArrival> generate_arrivals(const TrafficConfig& cfg,
                                            int n_hosts);
 

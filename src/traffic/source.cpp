@@ -127,9 +127,14 @@ void TrafficSource::post(std::size_t index, Lane& lane) {
                static_cast<double>(a.bytes));
   }
 
-  flow->send_message(a.bytes, [this, index, &lane](sim::SimTime when) {
+  // Captures two words, so std::function stores it inline: a post does not
+  // allocate. The completing lane is the one that posted, found again from
+  // the record's source host.
+  flow->send_message(a.bytes, [this, index](sim::SimTime when) {
     FctRecord& r = records_[index];
     r.completed = when;
+    Lane& lane = *lanes_[static_cast<std::size_t>(
+        host_lane_[static_cast<std::size_t>(r.src)])];
     ++lane.completed;
     lane.bytes_completed += r.bytes;
     if (auto* t =

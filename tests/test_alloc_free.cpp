@@ -1,6 +1,8 @@
 // Allocation accounting for the event engine: after warmup, the
-// schedule/fire, timer-rearm and cancel cycles, the forwarding path and a
-// cross-shard channel's import buffer must not touch the heap at all.
+// schedule/fire, timer-rearm and cancel cycles, the forwarding path, a
+// cross-shard channel's import buffer, the ring and interval-set FIFOs and
+// a traffic replay on warm channels (both backends) must not touch the
+// heap at all.
 // Counts every global operator new by replacing it, so any hidden
 // allocation on the hot path — a std::function fallback, a node-based
 // container, a vector regrowth — fails the test instead of shipping as a
@@ -13,16 +15,25 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
+#include <vector>
 
+#include "flowsim/flow_simulator.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
 #include "net/topology.hpp"
 #include "pdes/channel.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "tcp/interval_set.hpp"
+#include "tcp/reno.hpp"
+#include "traffic/source.hpp"
+#include "workload/cluster.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MLTCP_ASAN_ALLOC_HOOKS 1
@@ -253,6 +264,107 @@ TEST(AllocFree, ChannelImportBufferRecyclesWhileNeverEmpty) {
   cycle(16 * 1024);
   EXPECT_EQ(g_alloc_count.load() - before, 0u)
       << "the import buffer grew on the steady-state path";
+}
+
+TEST(AllocFree, RingRefillsToItsWorkingDepthWithoutAllocating) {
+  // A channel's message FIFO drains between bursts; refilling it to the
+  // depth it has already held must reuse its storage.
+  struct Message {
+    std::int64_t bytes = 0;
+    std::function<void(sim::SimTime)> done;
+  };
+  sim::Ring<Message> ring;
+  std::int64_t completed = 0;
+  const auto burst = [&](int depth) {
+    for (int i = 0; i < depth; ++i) {
+      ring.push_back(Message{i, [&completed](sim::SimTime) { ++completed; }});
+    }
+    while (!ring.empty()) {
+      Message m = std::move(ring.front());
+      ring.pop_front();
+      m.done(0);
+    }
+  };
+  burst(100);
+  const std::uint64_t before = g_alloc_count.load();
+  for (int depth = 1; depth <= 100; ++depth) burst(depth);
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "a drained ring allocated refilling to its working depth";
+  EXPECT_EQ(completed, 100 + 100 * 101 / 2);
+}
+
+TEST(AllocFree, IntervalSetReusesItsStorage) {
+  // A Karn-style cycle: retransmit scattered segments of a window, a SACK
+  // block bridges some of them, one is re-marked eligible, and cumulative
+  // ACKs prune the set empty. After the first window nothing allocates.
+  tcp::IntervalSet set;
+  const auto window = [&set](std::int64_t base) {
+    for (std::int64_t i = 0; i < 64; i += 3) set.insert(base + i, base + i + 1);
+    set.insert(base + 10, base + 20);
+    set.erase(base + 15, base + 16);
+    for (std::int64_t i = 8; i <= 64; i += 8) set.erase_below(base + i);
+  };
+  window(0);
+  const std::uint64_t before = g_alloc_count.load();
+  for (std::int64_t w = 1; w <= 1000; ++w) window(64 * w);
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "the interval set allocated after its first window";
+  EXPECT_TRUE(set.empty());
+}
+
+/// Allocations while a TrafficSource replays periodic fixed-size transfers
+/// over fixed host pairs of a 2x4 leaf-spine, after a warm-up window of the
+/// same traffic has opened every pair's channel and brought every FIFO,
+/// pool and heap to its working size. `flowsim` picks the backend.
+std::uint64_t warm_replay_allocations(bool flowsim, std::size_t& completed) {
+  constexpr int kHosts = 8;
+  constexpr int kRounds = 500;  // Per window: 4,000 transfers.
+  constexpr sim::SimTime kPeriod = sim::microseconds(100);
+  sim::Simulator sim;
+  net::LeafSpineConfig lc;
+  lc.spines = 2;
+  net::LeafSpine ls = net::make_leaf_spine(sim, lc);
+  std::unique_ptr<flowsim::FlowSimulator> fs;
+  workload::Cluster cluster(sim);
+  if (flowsim) {
+    fs = std::make_unique<flowsim::FlowSimulator>(sim, *ls.topology);
+    cluster.set_backend(fs.get());
+  }
+  std::vector<net::Host*> hosts;
+  for (const auto& rack : ls.racks) {
+    hosts.insert(hosts.end(), rack.begin(), rack.end());
+  }
+  traffic::SourceOptions opts;
+  opts.cc = [] { return std::make_unique<tcp::RenoCC>(); };
+  traffic::TrafficSource source(sim, cluster, hosts, opts);
+  std::vector<traffic::FlowArrival> arrivals;
+  for (int r = 0; r < 2 * kRounds; ++r) {
+    for (std::int32_t h = 0; h < kHosts; ++h) {
+      arrivals.push_back(
+          traffic::FlowArrival{r * kPeriod, h, (h + 5) % kHosts, 20'000});
+    }
+  }
+  source.install(std::move(arrivals));
+  sim.run_until(kRounds * kPeriod);
+  const std::uint64_t before = g_alloc_count.load();
+  sim.run_until(2 * kRounds * kPeriod);
+  const std::uint64_t after = g_alloc_count.load();
+  sim.run();
+  completed = source.completed();
+  return after - before;
+}
+
+TEST(AllocFree, TrafficReplayOnWarmChannelsIsAllocationFree) {
+  // A post hands the backend a completion that fits std::function's inline
+  // buffer, and each channel queues it on a ring that has reached its
+  // working depth: on either backend, a replay on warm channels allocates
+  // nothing per transfer.
+  for (const bool flowsim : {true, false}) {
+    std::size_t completed = 0;
+    EXPECT_EQ(warm_replay_allocations(flowsim, completed), 0u)
+        << (flowsim ? "flowsim" : "packet") << " replay allocated";
+    EXPECT_EQ(completed, 8'000u) << (flowsim ? "flowsim" : "packet");
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -192,6 +193,31 @@ TEST(FlowsimMaxMin, ChannelIsFifoLikeAConnection) {
   const double one = 8.0 * 10'000'000 / 1e9;
   EXPECT_NEAR(sim::to_seconds(first), one, 0.01 * one);
   EXPECT_NEAR(sim::to_seconds(second), 2 * one, 0.01 * one);
+}
+
+TEST(FlowsimMaxMin, ChannelRejectsEmptyAndNegativeMessages) {
+  // Same contract as the packet backend's sender: a message must carry
+  // bytes, and a rejected post names the flow and the size.
+  FluidRig rig;
+  workload::Channel* ch =
+      rig.cluster.add_channel({rig.d.left[0], rig.d.right[0], 0}, reno());
+  const std::string flow = "flow " + std::to_string(ch->id());
+  for (const std::int64_t bytes : {std::int64_t{0}, std::int64_t{-5}}) {
+    try {
+      ch->send_message(bytes, [](sim::SimTime) {});
+      ADD_FAILURE() << bytes << " bytes accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(flow), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(bytes) + " bytes"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(rig.fs->stats().messages_posted, 0);
+  sim::SimTime done = -1;
+  ch->send_message(1'000'000, [&](sim::SimTime t) { done = t; });
+  rig.sim.run_until(sim::seconds(1));
+  EXPECT_GT(done, 0);
 }
 
 // --------------------------------------------------------------- ECMP parity

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
@@ -271,6 +275,75 @@ TEST(RateBinner, LateBinsExtendVector) {
   binner.add(milliseconds(99), 100);
   EXPECT_EQ(binner.bin_count(), 100u);
   EXPECT_GT(binner.rate_bps(99), 0.0);
+}
+
+// ------------------------------------------------------------------- ring
+
+/// Shaped like a channel's queued message: a size and a completion whose
+/// captures the ring must release when the message leaves it.
+struct RingMessage {
+  std::int64_t bytes = 0;
+  std::function<void(SimTime)> done;
+};
+
+TEST(Ring, MessageFifoSurvivesWraparoundAndEveryGrowth) {
+  Ring<RingMessage> ring;
+  std::int64_t pushed = 0;
+  std::int64_t popped = 0;
+  std::int64_t completed = 0;
+  const auto push = [&] {
+    ring.push_back(RingMessage{pushed++, [&completed](SimTime) {
+                                 ++completed;
+                               }});
+  };
+  const auto pop = [&] {
+    ASSERT_EQ(ring.front().bytes, popped++);
+    RingMessage m = std::move(ring.front());
+    ring.pop_front();
+    m.done(0);
+  };
+  // The backlog deepens by one each round while the head keeps advancing,
+  // so the contents have wrapped before each growth (1, 2, 4, ..., 64).
+  for (int depth = 1; depth <= 40; ++depth) {
+    while (ring.size() < static_cast<std::size_t>(depth)) push();
+    for (int i = 0; i < 3; ++i) {
+      pop();
+      push();
+    }
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      ASSERT_EQ(ring[i].bytes, popped + static_cast<std::int64_t>(i));
+    }
+    const std::size_t cap = ring.capacity();
+    EXPECT_EQ(cap & (cap - 1), 0u);
+    EXPECT_GE(cap, ring.size());
+  }
+  EXPECT_EQ(ring.capacity(), 64u);
+  while (!ring.empty()) pop();
+  EXPECT_EQ(popped, pushed);
+  EXPECT_EQ(completed, pushed);
+}
+
+TEST(Ring, EmptyRingOwnsNoStorageAndGrowsFromOneSlot) {
+  Ring<RingMessage> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_TRUE(ring.empty());
+  ring.push_back(RingMessage{1, nullptr});
+  EXPECT_EQ(ring.capacity(), 1u);
+  ring.push_back(RingMessage{2, nullptr});
+  EXPECT_EQ(ring.capacity(), 2u);
+  ring.push_back(RingMessage{3, nullptr});
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.size(), 3u);
+}
+
+TEST(Ring, PopReleasesTheElementsCaptures) {
+  Ring<RingMessage> ring;
+  auto owner = std::make_shared<int>(7);
+  ring.push_back(RingMessage{1, [owner](SimTime) {}});
+  ring.push_back(RingMessage{2, nullptr});  // Keeps the slot from reuse.
+  EXPECT_EQ(owner.use_count(), 2);
+  ring.pop_front();
+  EXPECT_EQ(owner.use_count(), 1);  // Released at the pop, not on reuse.
 }
 
 }  // namespace

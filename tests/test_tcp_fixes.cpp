@@ -9,7 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/queue.hpp"
@@ -107,6 +114,70 @@ TEST(IntervalSet, OverlapsHalfOpenSemantics) {
   EXPECT_FALSE(s.overlaps(0, 5));   // end is exclusive
   EXPECT_FALSE(s.overlaps(10, 20));
   EXPECT_FALSE(s.overlaps(7, 7));   // empty range
+}
+
+TEST(IntervalSet, RandomizedDifferentialAgainstSetOfValues) {
+  // Every operation against a std::set of the covered values, over a small
+  // range so inserts and erases keep merging, splitting and pruning.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](std::int64_t n) {
+      return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(n));
+    };
+    IntervalSet s;
+    std::set<std::int64_t> ref;
+    for (int step = 0; step < 4000; ++step) {
+      const std::int64_t a = draw(200);
+      const std::int64_t b = a + draw(12) - 2;  // Sometimes empty or reversed.
+      switch (draw(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          s.insert(a, b);
+          for (std::int64_t v = a; v < b; ++v) ref.insert(v);
+          break;
+        case 4:
+        case 5:
+          s.erase(a, b);
+          if (a < b) ref.erase(ref.lower_bound(a), ref.lower_bound(b));
+          break;
+        case 6:
+          s.erase_below(a / 4);  // Mostly small bounds, so the set persists.
+          ref.erase(ref.begin(), ref.lower_bound(a / 4));
+          break;
+        case 7:
+          if (draw(20) == 0) {
+            s.clear();
+            ref.clear();
+          }
+          break;
+        default:
+          break;
+      }
+      ASSERT_EQ(s.contains(a), ref.count(a) == 1) << "step " << step;
+      const auto it = ref.lower_bound(a);
+      ASSERT_EQ(s.overlaps(a, b), a < b && it != ref.end() && *it < b)
+          << "step " << step;
+      std::int64_t missing = a;
+      while (missing < b && ref.count(missing) == 1) ++missing;
+      ASSERT_EQ(s.first_missing(a, b), a < b ? missing : b) << "step " << step;
+      ASSERT_EQ(s.upper_bound_value(), ref.empty() ? 0 : *ref.rbegin() + 1);
+      ASSERT_EQ(s.covered_count(), static_cast<std::int64_t>(ref.size()));
+      // The intervals are the maximal runs of the reference, in order.
+      std::vector<IntervalSet::Interval> runs;
+      for (const std::int64_t v : ref) {
+        if (!runs.empty() && runs.back().second == v) {
+          ++runs.back().second;
+        } else {
+          runs.emplace_back(v, v + 1);
+        }
+      }
+      ASSERT_EQ(s.intervals(), runs) << "step " << step;
+      ASSERT_EQ(s.interval_count(), runs.size());
+      ASSERT_EQ(s.empty(), ref.empty());
+    }
+  }
 }
 
 // ------------------------------------------------- sender-side ACK harness
@@ -279,6 +350,91 @@ TEST(FinalSegmentSizing, BackToBackMessagesEachCarryTheirRemainder) {
   // 1460 + 540 + 100 payload across three segments.
   ASSERT_EQ(p.data_packets, 3);
   EXPECT_EQ(p.wire_bytes, 2000 + 100 + 3 * net::kHeaderBytes);
+}
+
+TEST(FinalSegmentSizing, QueuedMessagesCompleteInOrderAcrossRingGrowth) {
+  // Forty messages queued at once grow the sender's message ring from one
+  // slot; the next batch wraps it, and a third, posted from a completion
+  // callback, grows it again mid-wrap. Every message completes once, in
+  // order, and each segment carries exactly its share of its message.
+  BytePipe p;
+  const std::int64_t mss = p.flow->sender().payload_per_segment();
+  std::vector<std::int64_t> expected;  // Payload per segment, in seq order.
+  std::vector<std::int64_t> seen;      // Payload per seq as transmitted.
+  std::vector<int> order;
+  std::int64_t total = 0;
+  int posted = 0;
+  p.d.bottleneck->add_tx_observer([&](const net::Packet& pkt, sim::SimTime) {
+    if (pkt.type != net::PacketType::kData) return;
+    const auto seq = static_cast<std::size_t>(pkt.seq);
+    if (seen.size() <= seq) seen.resize(seq + 1, -1);
+    const std::int64_t payload = pkt.size_bytes - net::kHeaderBytes;
+    if (seen[seq] >= 0) {
+      EXPECT_EQ(seen[seq], payload) << "retransmitted seq " << seq;
+    }
+    seen[seq] = payload;
+  });
+  std::function<void(int)> post_batch = [&](int n) {
+    for (int i = 0; i < n; ++i, ++posted) {
+      // Every fifth message is a whole number of segments; the others end
+      // in a short segment of a varying size.
+      const std::int64_t bytes = posted % 5 == 0
+                                     ? (1 + posted % 3) * mss
+                                     : (posted % 3) * mss + 1 +
+                                           (posted * 389) % (mss - 1);
+      for (std::int64_t left = bytes; left > 0; left -= mss) {
+        expected.push_back(std::min(left, mss));
+      }
+      total += bytes;
+      const int index = posted;
+      p.flow->send_message(bytes, [&, index](sim::SimTime) {
+        order.push_back(index);
+        if (index == 60) post_batch(60);  // 29 still queued: grows mid-wrap.
+      });
+    }
+  };
+  post_batch(40);
+  p.sim.run();
+  ASSERT_EQ(order.size(), 40u);
+  post_batch(50);  // Head at 40 of 64 slots: the batch wraps.
+  p.sim.run();
+
+  ASSERT_EQ(posted, 150);
+  ASSERT_EQ(order.size(), 150u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], static_cast<int>(i));
+  }
+  EXPECT_EQ(p.flow->sender().stats().messages_completed, 150);
+  EXPECT_EQ(seen, expected);
+  std::int64_t delivered = 0;
+  for (const std::int64_t b : seen) delivered += b;
+  EXPECT_EQ(delivered, total);
+}
+
+// ----------------------------------------------------------- message size
+
+TEST(MessageSize, TcpSenderRejectsEmptyAndNegativeMessages) {
+  // An empty message occupies no segment, so no ACK would ever complete
+  // it and its poster would wait forever: reject it, naming flow and size.
+  BytePipe p;
+  for (const std::int64_t bytes : {std::int64_t{0}, std::int64_t{-5}}) {
+    try {
+      p.flow->send_message(bytes, [](sim::SimTime) {});
+      ADD_FAILURE() << bytes << " bytes accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("flow 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(bytes) + " bytes"), std::string::npos)
+          << what;
+    }
+  }
+  // The rejected posts left the connection as it was.
+  sim::SimTime done = -1;
+  p.flow->send_message(3000, [&](sim::SimTime t) { done = t; });
+  p.sim.run();
+  EXPECT_GT(done, 0);
+  EXPECT_EQ(p.flow->sender().stats().messages_completed, 1);
+  EXPECT_EQ(p.wire_bytes, 3000 + 3 * net::kHeaderBytes);
 }
 
 // ------------------------------------------------------- RED idle decay

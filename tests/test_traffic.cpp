@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -60,6 +61,33 @@ TEST(TrafficPattern, GenerationIsAPureFunctionOfConfig) {
   cfg.seed = 43;
   const auto c = traffic::generate_arrivals(cfg, 8);
   EXPECT_NE(a, c) << "a different seed must produce a different stream";
+}
+
+TEST(TrafficPattern, EveryPatternEmitsInTimeOrderWithoutASort) {
+  // generate_arrivals runs no sort: each pattern must already emit its
+  // list in time order, equal instants in generation order, so a stable
+  // sort by time would leave it unchanged.
+  for (const Pattern pattern : traffic::all_patterns()) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      TrafficConfig cfg;
+      cfg.pattern = pattern;
+      cfg.size_dist = SizeDist::kPareto;
+      cfg.flows_per_second = 4000.0;
+      cfg.epoch = sim::milliseconds(30);
+      cfg.start = sim::milliseconds(5);
+      cfg.stop = sim::milliseconds(500);
+      cfg.seed = seed;
+      const auto list = traffic::generate_arrivals(cfg, 8);
+      ASSERT_GT(list.size(), 100u) << traffic::pattern_name(pattern);
+      auto sorted = list;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [](const FlowArrival& a, const FlowArrival& b) {
+                         return a.at < b.at;
+                       });
+      EXPECT_EQ(list, sorted)
+          << traffic::pattern_name(pattern) << " seed " << seed;
+    }
+  }
 }
 
 TEST(TrafficPattern, PoissonArrivalsAreSortedDistinctPairsInWindow) {
