@@ -59,7 +59,6 @@ class IterationTracker {
 
   std::int64_t total_bytes() const { return total_bytes_; }
   sim::SimTime comp_time() const { return comp_time_; }
-  sim::SimTime prev_ack_timestamp() const { return prev_ack_tstamp_; }
 
  private:
   void learn_from_boundary(sim::SimTime gap, std::int64_t burst_bytes);

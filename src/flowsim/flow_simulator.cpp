@@ -1,7 +1,6 @@
 #include "flowsim/flow_simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -20,6 +19,13 @@ namespace {
 /// arm the timer one nanosecond past the exact drain time, so remaining
 /// lands at or below zero; the epsilon only absorbs float drift.
 constexpr double kDrainEpsilon = 1e-3;
+
+/// Upper bound on how stale an MLTCP channel's aggressiveness weight may
+/// get: while a channel is mid-message its drain-heap key is at most this
+/// far ahead, so F(bytes_ratio) tracks the message's progress even when no
+/// arrival or completion forces a recompute. The packet backend updates the
+/// gain every ACK; this is the fluid analogue at a coarser grain.
+constexpr sim::SimTime kWeightRefresh = sim::milliseconds(20);
 
 /// What a faulted link can actually carry, in bytes/second. Down and
 /// blackholed links carry nothing (routes may still point at them); a
@@ -292,11 +298,9 @@ std::vector<FlowRate> FlowSimulator::reference_rates() const {
 }
 
 void FlowSimulator::schedule_recompute() {
-  if (in_recompute_) {
-    recompute_pending_ = true;
-    return;
-  }
-  timer_.arm(0);
+  // A firing in progress absorbs the request: the posts and topology
+  // changes its completion callbacks make enter its own allocation.
+  if (!in_recompute_) timer_.arm(0);
 }
 
 void FlowSimulator::settle_channel(FlowChannel* ch, sim::SimTime now) {
@@ -359,55 +363,37 @@ bool FlowSimulator::resolve_route_span(FlowChannel* ch) {
   return true;
 }
 
+bool FlowSimulator::route_alive(const FlowChannel* ch) const {
+  if (!ch->route_valid_) return false;
+  for (std::int32_t h = 0; h < ch->route_len_; ++h) {
+    if (link_capacity_[static_cast<std::size_t>(
+            route_pool_[ch->route_base_ + h])] <= 0.0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void FlowSimulator::mark_link_dirty(std::int32_t li) {
-  if (dirty_all_ || link_dirty_[static_cast<std::size_t>(li)]) return;
+  if (link_dirty_[static_cast<std::size_t>(li)]) return;
   link_dirty_[static_cast<std::size_t>(li)] = 1;
   dirty_links_.push_back(li);
 }
 
 void FlowSimulator::mark_route_dirty(const FlowChannel* ch) {
-  if (dirty_all_) return;
   for (std::int32_t h = 0; h < ch->route_len_; ++h) {
     mark_link_dirty(route_pool_[ch->route_base_ + h]);
   }
-}
-
-void FlowSimulator::ensure_member_capacity(std::int32_t li) {
-  LinkList& list = link_members_[static_cast<std::size_t>(li)];
-  if (list.size < list.cap) return;
-  const std::int32_t new_cap = list.cap == 0 ? 4 : list.cap * 2;
-  const auto cls = static_cast<std::size_t>(
-      std::countr_zero(static_cast<std::uint32_t>(new_cap)));
-  std::int32_t base;
-  if (!member_free_[cls].empty()) {
-    base = member_free_[cls].back();
-    member_free_[cls].pop_back();
-  } else {
-    base = static_cast<std::int32_t>(member_pool_.size());
-    member_pool_.resize(member_pool_.size() + static_cast<std::size_t>(new_cap));
-  }
-  for (std::int32_t i = 0; i < list.size; ++i) {
-    member_pool_[base + i] = member_pool_[list.base + i];
-  }
-  if (list.cap > 0) {
-    member_free_[static_cast<std::size_t>(
-                     std::countr_zero(static_cast<std::uint32_t>(list.cap)))]
-        .push_back(list.base);
-  }
-  list.base = base;
-  list.cap = new_cap;
 }
 
 void FlowSimulator::add_membership(FlowChannel* ch) {
   assert(!ch->in_members_);
   ch->in_members_ = true;
   for (std::int32_t h = 0; h < ch->route_len_; ++h) {
-    const std::int32_t li = route_pool_[ch->route_base_ + h];
-    ensure_member_capacity(li);
-    LinkList& list = link_members_[static_cast<std::size_t>(li)];
-    member_pool_[list.base + list.size] = MemberEntry{ch, h};
-    slot_pool_[ch->route_base_ + h] = list.size;
-    ++list.size;
+    auto& list = link_members_[static_cast<std::size_t>(
+        route_pool_[ch->route_base_ + h])];
+    slot_pool_[ch->route_base_ + h] = static_cast<std::int32_t>(list.size());
+    list.push_back(MemberEntry{ch, h});
   }
 }
 
@@ -415,17 +401,18 @@ void FlowSimulator::remove_membership(FlowChannel* ch) {
   if (!ch->in_members_) return;
   ch->in_members_ = false;
   for (std::int32_t h = 0; h < ch->route_len_; ++h) {
-    const std::int32_t li = route_pool_[ch->route_base_ + h];
-    LinkList& list = link_members_[static_cast<std::size_t>(li)];
-    const std::int32_t pos = slot_pool_[ch->route_base_ + h];
-    const std::int32_t last = --list.size;
-    assert(pos >= 0 && pos <= last &&
-           member_pool_[list.base + pos].ch == ch);
-    if (pos != last) {
-      const MemberEntry moved = member_pool_[list.base + last];
-      member_pool_[list.base + pos] = moved;
-      slot_pool_[moved.ch->route_base_ + moved.hop] = pos;
+    auto& list = link_members_[static_cast<std::size_t>(
+        route_pool_[ch->route_base_ + h])];
+    const auto pos =
+        static_cast<std::size_t>(slot_pool_[ch->route_base_ + h]);
+    assert(pos < list.size() && list[pos].ch == ch);
+    if (pos + 1 != list.size()) {
+      const MemberEntry moved = list.back();
+      list[pos] = moved;
+      slot_pool_[moved.ch->route_base_ + moved.hop] =
+          static_cast<std::int32_t>(pos);
     }
+    list.pop_back();
   }
 }
 
@@ -474,7 +461,6 @@ void FlowSimulator::make_stalled(FlowChannel* ch, sim::SimTime now) {
   remove_membership(ch);
   heap_remove(ch);
   --sending_count_;
-  if (ch->f_ != nullptr) --mltcp_sending_;
 }
 
 void FlowSimulator::make_unstalled(FlowChannel* ch, sim::SimTime now) {
@@ -483,9 +469,8 @@ void FlowSimulator::make_unstalled(FlowChannel* ch, sim::SimTime now) {
   ch->stalled_ = false;
   ++sending_count_;
   if (ch->f_ != nullptr) {
-    ++mltcp_sending_;
     ch->weight_ = ch->current_weight();
-    ch->next_refresh_ = now + cfg_.weight_refresh;
+    ch->next_refresh_ = now + kWeightRefresh;
     // Seed a heap entry so the refresh deadline fires even if the fill
     // leaves the rate at zero (saturated component).
     heap_update(ch, ch->next_refresh_);
@@ -493,75 +478,50 @@ void FlowSimulator::make_unstalled(FlowChannel* ch, sim::SimTime now) {
   add_membership(ch);
 }
 
-void FlowSimulator::reroute_busy() {
-  for (FlowChannel* ch : busy_) {
-    remove_membership(ch);  // No-op for draining/stalled channels.
-    resolve_route_span(ch);
-    ++stats_.reroutes;
-  }
-}
-
-void FlowSimulator::reallocate(sim::SimTime now) {
+void FlowSimulator::reallocate(sim::SimTime now, bool whole_fabric) {
   ++stats_.recomputes;
   ++visit_epoch_;
-  const bool refresh_all = dirty_all_;
-  const bool fill_all = dirty_all_ || cfg_.full_recompute;
-  if (fill_all) ++stats_.full_recomputes;
+  if (whole_fabric || cfg_.full_recompute) ++stats_.full_recomputes;
 
   // Weight refresh rides the perturbation: every MLTCP channel whose
   // component the dirty region touches gets F(bytes_ratio) re-read
   // (settling it to "now" first) — the same cadence the old global
   // recompute refreshed at, since any pass that would have moved a
   // channel's rate visits its component. Quiet components fall back to the
-  // per-channel weight_refresh deadline in the drain heap. The refresh set
+  // per-channel kWeightRefresh deadline in the drain heap. The refresh set
   // is derived from the dirty closure in BOTH recompute modes, so settle
   // instants — and with them the float trajectories — are mode-invariant.
+  //
+  // Transitive closure of the dirty links over the link<->flow sharing
+  // graph: every flow whose allocation the dirty region can influence is in
+  // here; everything else keeps a provably unchanged rate (max-min
+  // decomposes over connected components of this graph). A visited
+  // channel's refreshed weight needs no extra dirty marks — the visit
+  // already marks its whole route. A topology pass has marked every link,
+  // so its closure is every sending channel.
   affected_.clear();
-  if (refresh_all) {
-    for (FlowChannel* ch : busy_) {
-      if (ch->state_ != FlowChannel::State::kSending || ch->stalled_) continue;
+  for (std::size_t qi = 0; qi < dirty_links_.size(); ++qi) {
+    for (const MemberEntry& m :
+         link_members_[static_cast<std::size_t>(dirty_links_[qi])]) {
+      FlowChannel* ch = m.ch;
+      if (ch->visit_epoch_ == visit_epoch_) continue;
+      ch->visit_epoch_ = visit_epoch_;
       if (ch->f_ != nullptr) {
         settle_channel(ch, now);
         ch->weight_ = ch->current_weight();
       }
       affected_.push_back(ch);
+      mark_route_dirty(ch);
     }
-  } else {
-    // Transitive closure of the dirty links over the link<->flow sharing
-    // graph: every flow whose allocation the dirty region can influence is
-    // in here; everything else keeps a provably unchanged rate (max-min
-    // decomposes over connected components of this graph). A visited
-    // channel's refreshed weight needs no extra dirty marks — the visit
-    // already marks its whole route.
-    for (std::size_t qi = 0; qi < dirty_links_.size(); ++qi) {
-      const LinkList& list =
-          link_members_[static_cast<std::size_t>(dirty_links_[qi])];
-      for (std::int32_t i = 0; i < list.size; ++i) {
-        FlowChannel* ch = member_pool_[list.base + i].ch;
-        if (ch->visit_epoch_ == visit_epoch_) continue;
-        ch->visit_epoch_ = visit_epoch_;
-        if (ch->f_ != nullptr) {
-          settle_channel(ch, now);
-          ch->weight_ = ch->current_weight();
-        }
-        affected_.push_back(ch);
-        for (std::int32_t h = 0; h < ch->route_len_; ++h) {
-          mark_link_dirty(route_pool_[ch->route_base_ + h]);
-        }
-      }
-    }
-    if (fill_all) {
-      // Escape hatch: same refresh set as the incremental path (computed
-      // above), but the fill runs over every sending channel — the
-      // reference the closure restriction is differentially checked
-      // against.
-      affected_.clear();
-      for (FlowChannel* ch : busy_) {
-        if (ch->state_ != FlowChannel::State::kSending || ch->stalled_) {
-          continue;
-        }
-        affected_.push_back(ch);
-      }
+  }
+  if (cfg_.full_recompute) {
+    // Escape hatch: same refresh set as the incremental path (computed
+    // above), but the fill runs over every sending channel — the reference
+    // the closure restriction is differentially checked against.
+    affected_.clear();
+    for (FlowChannel* ch : busy_) {
+      if (ch->state_ != FlowChannel::State::kSending || ch->stalled_) continue;
+      affected_.push_back(ch);
     }
   }
 
@@ -617,10 +577,9 @@ void FlowSimulator::reallocate(sim::SimTime now) {
       }
       assert(bottleneck >= 0 && "unfrozen flows imply an unfrozen link");
       if (bottleneck < 0) break;
-      const LinkList& list =
-          link_members_[static_cast<std::size_t>(bottleneck)];
-      for (std::int32_t i = 0; i < list.size; ++i) {
-        FlowChannel* ch = member_pool_[list.base + i].ch;
+      for (const MemberEntry& m :
+           link_members_[static_cast<std::size_t>(bottleneck)]) {
+        FlowChannel* ch = m.ch;
         if (ch->frozen_) continue;
         ch->frozen_ = true;
         ch->new_rate_ = ch->weight_ * min_share;
@@ -664,7 +623,6 @@ void FlowSimulator::reallocate(sim::SimTime now) {
     link_dirty_[static_cast<std::size_t>(li)] = 0;
   }
   dirty_links_.clear();
-  dirty_all_ = false;
 
   if (!drain_heap_.empty()) {
     timer_.arm_at(drain_heap_.top().when);
@@ -719,7 +677,6 @@ void FlowSimulator::on_timer() {
       ch->drain_until_ = now + ch->route_delay_;
       ch->rate_ = 0.0;
       --sending_count_;
-      if (ch->f_ != nullptr) --mltcp_sending_;
       if (ch->drain_until_ <= now) {
         completed_scratch_.push_back(ch);
       } else {
@@ -731,7 +688,7 @@ void FlowSimulator::on_timer() {
     // (or a prediction that settled a hair early — re-key either way).
     if (ch->f_ != nullptr && now >= ch->next_refresh_) {
       const double w = ch->current_weight();
-      ch->next_refresh_ = now + cfg_.weight_refresh;
+      ch->next_refresh_ = now + kWeightRefresh;
       if (w != ch->weight_) {
         ch->weight_ = w;
         mark_route_dirty(ch);
@@ -761,25 +718,22 @@ void FlowSimulator::on_timer() {
     }
   }
 
-  if (routes_dirty_) {
+  const bool whole_fabric = routes_dirty_;
+  if (whole_fabric) {
     routes_dirty_ = false;
     refresh_capacities();
-    reroute_busy();
+    // Every busy channel leaves its member lists before any re-enters:
+    // the lists' order is the freeze order inside a bottleneck.
+    for (FlowChannel* ch : busy_) {
+      remove_membership(ch);  // No-op for draining/stalled channels.
+      resolve_route_span(ch);
+      ++stats_.reroutes;
+    }
     // Stall/unstall transitions ride topology-change passes only: between
     // them capacities are constant, so aliveness cannot change.
     for (FlowChannel* ch : busy_) {
       if (ch->state_ != FlowChannel::State::kSending) continue;
-      bool alive = ch->route_valid_;
-      if (alive) {
-        for (std::int32_t h = 0; h < ch->route_len_; ++h) {
-          if (link_capacity_[static_cast<std::size_t>(
-                  route_pool_[ch->route_base_ + h])] <= 0.0) {
-            alive = false;
-            break;
-          }
-        }
-      }
-      if (alive) {
+      if (route_alive(ch)) {
         if (ch->stalled_) {
           make_unstalled(ch, now);
         } else {
@@ -789,7 +743,9 @@ void FlowSimulator::on_timer() {
         make_stalled(ch, now);
       }
     }
-    dirty_all_ = true;
+    for (std::size_t li = 0; li < link_ptrs_.size(); ++li) {
+      mark_link_dirty(static_cast<std::int32_t>(li));
+    }
   }
 
   for (FlowChannel* ch : start_queue_) {
@@ -802,47 +758,20 @@ void FlowSimulator::on_timer() {
         static_cast<double>(ch->queue_.front().bytes);
     ch->rate_ = 0.0;
     ch->settled_at_ = now;
-    ch->stalled_ = false;
+    ch->stalled_ = true;  // make_unstalled admits it once its route is alive.
     busy_add(ch);
     if (!ch->route_valid_) resolve_route_span(ch);
-    bool alive = ch->route_valid_;
-    if (alive) {
-      for (std::int32_t h = 0; h < ch->route_len_; ++h) {
-        if (link_capacity_[static_cast<std::size_t>(
-                route_pool_[ch->route_base_ + h])] <= 0.0) {
-          alive = false;
-          break;
-        }
-      }
-    }
-    if (alive) {
-      ch->weight_ = ch->current_weight();
-      ++sending_count_;
-      if (ch->f_ != nullptr) {
-        ++mltcp_sending_;
-        ch->next_refresh_ = now + cfg_.weight_refresh;
-        heap_update(ch, ch->next_refresh_);
-      }
-      add_membership(ch);
+    if (route_alive(ch)) {
+      make_unstalled(ch, now);
       mark_route_dirty(ch);
     } else {
-      ch->stalled_ = true;
       ++stats_.stalls;
     }
   }
   start_queue_.clear();
 
-  // Everything requested so far (starts, completions) is absorbed by the
-  // allocation below; only topology churn arriving mid-callback still needs
-  // its own pass.
-  if (!routes_dirty_) recompute_pending_ = false;
-
-  reallocate(now);
+  reallocate(now, whole_fabric);
   in_recompute_ = false;
-  if (recompute_pending_) {
-    recompute_pending_ = false;
-    timer_.arm(0);
-  }
 }
 
 }  // namespace mltcp::flowsim

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -15,15 +14,8 @@
 
 namespace mltcp::flowsim {
 
-/// Tuning knobs of the flow-level backend.
+/// Tuning knob of the flow-level backend.
 struct FlowSimConfig {
-  /// Upper bound on how stale an MLTCP channel's aggressiveness weight may
-  /// get: while any MLTCP channel is mid-message the allocation is
-  /// recomputed at least this often, so F(bytes_ratio) tracks the message's
-  /// progress even when no arrival/completion forces a recompute. The
-  /// packet backend updates the gain every ACK; this is the fluid analogue
-  /// at a coarser, configurable grain.
-  sim::SimTime weight_refresh = sim::milliseconds(20);
   /// Escape hatch: water-fill the whole fabric on every recompute instead
   /// of only the dirty region — the reference the incremental path is
   /// differentially tested against. Model output (rates, completion times)
@@ -123,9 +115,6 @@ class FlowSimulator : public workload::Backend {
   /// histories.
   std::vector<FlowRate> reference_rates() const;
 
-  /// Total channels created.
-  std::size_t channel_count() const { return channels_.size(); }
-
  private:
   class FlowChannel;
   friend class FlowChannel;
@@ -146,15 +135,6 @@ class FlowSimulator : public workload::Backend {
     FlowChannel* ch = nullptr;
     std::int32_t hop = 0;
   };
-  /// Per-link flow list: a (base, size, capacity) window into the shared
-  /// member pool. Blocks are power-of-two sized and recycled through
-  /// per-class free lists, so growing lists never leak pool space and the
-  /// per-link vectors cost no standalone heap allocations.
-  struct LinkList {
-    std::int32_t base = 0;
-    std::int32_t size = 0;
-    std::int32_t cap = 0;  ///< 0 or a power of two.
-  };
 
   void on_timer();
   /// Brings one channel's remaining-bytes account up to `now` at its
@@ -162,11 +142,10 @@ class FlowSimulator : public workload::Backend {
   /// rate is about to change, their weight is read, or they complete — so
   /// untouched channels cost nothing per event.
   void settle_channel(FlowChannel* ch, sim::SimTime now);
-  /// Re-resolves the route of every busy channel (after topology churn).
-  void reroute_busy();
   /// Refreshes weights, water-fills the dirty closure, re-keys re-rated
-  /// channels in the drain heap and arms the timer.
-  void reallocate(sim::SimTime now);
+  /// channels in the drain heap and arms the timer. `whole_fabric` marks a
+  /// topology pass, whose closure is every sending channel.
+  void reallocate(sim::SimTime now, bool whole_fabric);
   /// Called by channels when a message is posted on an idle channel and by
   /// the topology change hook.
   void schedule_recompute();
@@ -179,13 +158,15 @@ class FlowSimulator : public workload::Backend {
   /// Returns false (and leaves the span empty) when no complete path
   /// exists.
   bool resolve_route_span(FlowChannel* ch);
+  /// True when the channel has a resolved route and every link on it
+  /// carries some capacity.
+  bool route_alive(const FlowChannel* ch) const;
 
   void mark_link_dirty(std::int32_t li);
   void mark_route_dirty(const FlowChannel* ch);
 
   void add_membership(FlowChannel* ch);
   void remove_membership(FlowChannel* ch);
-  void ensure_member_capacity(std::int32_t li);
 
   void busy_add(FlowChannel* ch);
   void busy_remove(FlowChannel* ch);
@@ -197,7 +178,9 @@ class FlowSimulator : public workload::Backend {
   void heap_remove(FlowChannel* ch);
 
   /// Transitions a sending channel to/from the stalled (dead-route) state,
-  /// maintaining membership lists, heap entries and counters.
+  /// maintaining membership lists, heap entries and counters. A message
+  /// start enters stalled and leaves through make_unstalled when its route
+  /// is alive.
   void make_stalled(FlowChannel* ch, sim::SimTime now);
   void make_unstalled(FlowChannel* ch, sim::SimTime now);
 
@@ -220,10 +203,9 @@ class FlowSimulator : public workload::Backend {
   std::vector<std::int32_t> slot_pool_;
 
   /// link -> sending flows crossing it, the adjacency the dirty-set closure
-  /// and the water-fill both walk.
-  std::vector<LinkList> link_members_;
-  std::vector<MemberEntry> member_pool_;
-  std::array<std::vector<std::int32_t>, 31> member_free_;
+  /// and the water-fill both walk. A removal swaps the last entry into the
+  /// freed slot, and this order is the freeze order inside a bottleneck.
+  std::vector<std::vector<MemberEntry>> link_members_;
 
   /// Water-fill scratch (sized to links, reused across recomputes).
   std::vector<double> link_residual_;
@@ -234,10 +216,8 @@ class FlowSimulator : public workload::Backend {
   /// Dirty-region bookkeeping.
   std::vector<std::uint8_t> link_dirty_;
   std::vector<std::int32_t> dirty_links_;
-  bool dirty_all_ = false;
 
   std::vector<FlowChannel*> affected_;  ///< Closure of this pass.
-  std::vector<double> prev_rate_;       ///< Rates before this pass's fill.
   std::vector<FlowChannel*> due_;       ///< Heap entries popped this firing.
   std::vector<FlowChannel*> completed_scratch_;
   std::uint32_t visit_epoch_ = 0;
@@ -252,13 +232,11 @@ class FlowSimulator : public workload::Backend {
   /// Idle channels whose queue gained a message since the last pass.
   std::vector<FlowChannel*> start_queue_;
 
-  /// Sending, non-stalled channels (and the MLTCP subset): the population
-  /// the frozen-skip metric and the weight-refresh cap are defined over.
+  /// Sending, non-stalled channels: the population the frozen-skip metric
+  /// is defined over.
   std::int64_t sending_count_ = 0;
-  std::int64_t mltcp_sending_ = 0;
 
   bool in_recompute_ = false;
-  bool recompute_pending_ = false;
   bool routes_dirty_ = false;
   FlowSimStats stats_;
 };

@@ -97,11 +97,6 @@ struct Packet {
     sack_len_[num_sack] = static_cast<std::uint32_t>(end - start);
     ++num_sack;
   }
-
-  /// Data payload bytes (size_bytes - headers); 0 for ACKs.
-  std::int32_t payload_bytes() const {
-    return type == PacketType::kData ? size_bytes - kHeaderBytes : 0;
-  }
 };
 
 /// Every queue hop and propagation event copies a Packet; a pure ACK used to

@@ -85,7 +85,6 @@ class ShardedRunner {
   /// Simulator::run_until); every shard clock ends at `deadline`.
   void run_until(sim::SimTime deadline);
 
-  const std::vector<ShardStats>& shard_stats() const { return stats_; }
   ShardStats totals() const;
   int shards() const { return static_cast<int>(shards_.size()); }
   /// Worker threads the last run_until used (1 = cooperative).

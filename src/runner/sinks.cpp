@@ -18,16 +18,6 @@ std::string format_double(double value) {
   return buf;
 }
 
-void write_text(const std::string& path, const std::string& text,
-                const char* who) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error(std::string(who) + ": cannot open " + path);
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------ CsvSink
@@ -67,7 +57,13 @@ std::string CsvSink::serialize() const {
 }
 
 void CsvSink::write(const std::string& path) const {
-  write_text(path, serialize(), "CsvSink");
+  const std::string text = serialize();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    throw std::runtime_error("CsvSink: cannot open " + path);
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
 }
 
 std::size_t CsvSink::row_count() const {
@@ -75,64 +71,6 @@ std::size_t CsvSink::row_count() const {
   std::size_t n = 0;
   for (const auto& [run, rows] : rows_by_run_) n += rows.size();
   return n;
-}
-
-// ----------------------------------------------------------------- JsonSink
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void JsonSink::put_literal(std::size_t run_index, const std::string& key,
-                           std::string literal) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fields_by_run_[run_index].push_back(Field{key, std::move(literal)});
-}
-
-void JsonSink::put(std::size_t run_index, const std::string& key,
-                   double value) {
-  put_literal(run_index, key, format_double(value));
-}
-
-void JsonSink::put(std::size_t run_index, const std::string& key,
-                   const std::string& value) {
-  put_literal(run_index, key, "\"" + json_escape(value) + "\"");
-}
-
-std::string JsonSink::serialize() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "[\n";
-  bool first_run = true;
-  for (const auto& [run, fields] : fields_by_run_) {
-    if (!first_run) out += ",\n";
-    first_run = false;
-    out += "  {\"run\": " + std::to_string(run);
-    for (const Field& f : fields) {
-      out += ", \"" + json_escape(f.key) + "\": " + f.literal;
-    }
-    out += "}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
-void JsonSink::write(const std::string& path) const {
-  write_text(path, serialize(), "JsonSink");
 }
 
 }  // namespace mltcp::runner

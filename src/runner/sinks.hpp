@@ -36,30 +36,4 @@ class CsvSink {
   std::map<std::size_t, std::vector<std::vector<std::string>>> rows_by_run_;
 };
 
-/// Thread-safe JSON aggregation: one object per run, emitted as an array
-/// ordered by run index. Values are numbers or strings; key order within an
-/// object is the per-run insertion order, so serial and parallel campaigns
-/// serialize identically.
-class JsonSink {
- public:
-  void put(std::size_t run_index, const std::string& key, double value);
-  void put(std::size_t run_index, const std::string& key,
-           const std::string& value);
-
-  std::string serialize() const;
-  void write(const std::string& path) const;
-
- private:
-  struct Field {
-    std::string key;
-    std::string literal;  ///< pre-rendered JSON value
-  };
-
-  void put_literal(std::size_t run_index, const std::string& key,
-                   std::string literal);
-
-  mutable std::mutex mu_;
-  std::map<std::size_t, std::vector<Field>> fields_by_run_;
-};
-
 }  // namespace mltcp::runner

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
+
+#include "sim/random.hpp"
 
 namespace mltcp::sched {
 
@@ -16,6 +19,14 @@ sim::SimTime gcd64(sim::SimTime a, sim::SimTime b) {
   }
   return a;
 }
+
+/// Search effort of optimize_interleaving: random restarts, coordinate-descent
+/// sweeps per restart, uniform grid candidates per job scan, and the seed of
+/// the restart offsets.
+constexpr int kRestarts = 8;
+constexpr int kMaxRounds = 64;
+constexpr int kGridCandidates = 64;
+constexpr std::uint64_t kSeed = 42;
 
 /// Event-list evaluation shared by evaluate_excess and the optimizer.
 struct Event {
@@ -82,18 +93,17 @@ sim::SimTime evaluate_excess(const std::vector<PeriodicDemand>& jobs,
   return excess;
 }
 
-Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs,
-                               const CentralizedConfig& cfg) {
+Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs) {
   assert(!jobs.empty());
   const sim::SimTime h = hyperperiod_of(jobs);
-  sim::Rng rng(cfg.seed);
+  sim::Rng rng(kSeed);
 
   Schedule best;
   best.hyperperiod = h;
   best.offsets.assign(jobs.size(), 0);
   best.excess = evaluate_excess(jobs, best.offsets, h);
 
-  for (int restart = 0; restart < cfg.restarts && best.excess > 0;
+  for (int restart = 0; restart < kRestarts && best.excess > 0;
        ++restart) {
     std::vector<sim::SimTime> offsets(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -103,7 +113,7 @@ Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs,
     }
     sim::SimTime cur = evaluate_excess(jobs, offsets, h);
 
-    for (int round = 0; round < cfg.max_rounds && cur > 0; ++round) {
+    for (int round = 0; round < kMaxRounds && cur > 0; ++round) {
       bool improved = false;
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         // Candidate offsets: right after any other job's communication ends
@@ -117,9 +127,8 @@ Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs,
             candidates.push_back(end % jobs[j].period);
           }
         }
-        const int grid = std::max(cfg.extra_grid_candidates, 1);
-        for (int g = 0; g < grid; ++g) {
-          candidates.push_back(jobs[j].period * g / grid);
+        for (int g = 0; g < kGridCandidates; ++g) {
+          candidates.push_back(jobs[j].period * g / kGridCandidates);
         }
 
         sim::SimTime best_off = offsets[j];
@@ -151,9 +160,8 @@ Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs,
   return best;
 }
 
-bool is_interleavable(const std::vector<PeriodicDemand>& jobs,
-                      const CentralizedConfig& cfg) {
-  return optimize_interleaving(jobs, cfg).excess == 0;
+bool is_interleavable(const std::vector<PeriodicDemand>& jobs) {
+  return optimize_interleaving(jobs).excess == 0;
 }
 
 std::vector<sim::SimTime> harmonize_compute_pads(

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace mltcp::sched {
@@ -43,19 +41,10 @@ sim::SimTime evaluate_excess(const std::vector<PeriodicDemand>& jobs,
 /// ILP; on the single-bottleneck scenarios evaluated here, randomized
 /// coordinate descent over the offset circle with event-aligned candidate
 /// offsets finds the same (zero-excess) optima while staying dependency-free.
-struct CentralizedConfig {
-  int restarts = 8;
-  int max_rounds = 64;           ///< Coordinate-descent sweeps per restart.
-  int extra_grid_candidates = 64;///< Uniform grid candidates per job scan.
-  std::uint64_t seed = 42;
-};
-
-Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs,
-                               const CentralizedConfig& cfg = {});
+Schedule optimize_interleaving(const std::vector<PeriodicDemand>& jobs);
 
 /// True when a zero-excess (fully interleaved) schedule exists and was found.
-bool is_interleavable(const std::vector<PeriodicDemand>& jobs,
-                      const CentralizedConfig& cfg = {});
+bool is_interleavable(const std::vector<PeriodicDemand>& jobs);
 
 /// One job's timing as achievable on the wire: its nominal period (the
 /// profile's ideal iteration time), the wire-level duration of its

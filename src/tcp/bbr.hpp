@@ -78,7 +78,6 @@ class BbrCC : public CongestionControl {
   double current_pacing_gain() const;
   int probe_bw_phase() const { return phase_; }
   bool filled_pipe() const { return filled_pipe_; }
-  int round_count() const { return round_count_; }
 
  private:
   /// Advances round accounting; returns true when `ctx` starts a new round

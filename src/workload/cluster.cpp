@@ -1,6 +1,9 @@
 #include "workload/cluster.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mltcp::workload {
 
@@ -55,6 +58,18 @@ Channel* Cluster::add_channel(const FlowSpec& fs, const tcp::CcFactory& cc,
 Job* Cluster::add_job(const JobSpec& spec) {
   assert(spec.cc != nullptr && "JobSpec.cc (congestion control) must be set");
   assert(!spec.flows.empty());
+  // Every chunk of an iteration must carry at least one byte. Checked before
+  // any channel opens, so a rejected spec takes no flow id.
+  const int chunks = std::max(spec.comm_chunks, 1);
+  for (std::size_t i = 0; i < spec.flows.size(); ++i) {
+    const std::int64_t bytes = spec.flows[i].bytes_per_iteration;
+    if (bytes < chunks) {
+      throw std::invalid_argument(
+          "job '" + spec.name + "' flow " + std::to_string(i) + ": " +
+          std::to_string(bytes) + " bytes per iteration cannot fill " +
+          std::to_string(chunks) + " comm chunks");
+    }
+  }
 
   std::vector<Job::FlowBinding> bindings;
   std::vector<tcp::TcpFlow*> raw_flows;

@@ -59,7 +59,9 @@ class Cluster {
 
   /// Creates channels and the job state machine. The job is not started.
   /// Safe mid-run: scenario-driven job arrivals call this after start_all()
-  /// and then start() the returned job themselves.
+  /// and then start() the returned job themselves. Throws
+  /// std::invalid_argument, before opening any channel, when a flow's
+  /// bytes_per_iteration is below max(comm_chunks, 1).
   Job* add_job(const JobSpec& spec);
 
   /// Creates a standalone channel (no job state machine) with a

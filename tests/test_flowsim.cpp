@@ -452,11 +452,45 @@ TEST(FlowsimDeterminism, FaultedCampaignByteIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------------ incremental solver
 
-/// Bit-exact trace of the faulted training scenario: iteration end times as
-/// raw IEEE-754 bit patterns plus the backend's message/recompute counters.
-/// Any arithmetic divergence between the incremental and full-recompute
-/// solvers shows up as a byte difference.
-std::string faulted_trace(bool full_recompute) {
+/// Bit-exact trace of a faulted run: iteration end times and transfer FCTs
+/// as raw IEEE-754 bit patterns plus the backend's message, recompute,
+/// reroute and stall counters. Any arithmetic divergence between the
+/// incremental and full-recompute solvers shows up as a byte difference.
+struct FaultedRun {
+  std::string trace;
+  flowsim::FlowSimStats stats;
+};
+
+FaultedRun faulted_run(const workload::Cluster& cluster,
+                       const std::vector<double>& fcts,
+                       const flowsim::FlowSimStats& st) {
+  std::string out;
+  char buf[96];
+  const auto append_bits = [&](double seconds) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &seconds, sizeof bits);
+    std::snprintf(buf, sizeof buf, "%016" PRIx64 "\n", bits);
+    out += buf;
+  };
+  for (std::size_t j = 0; j < cluster.job_count(); ++j) {
+    for (const auto& it : cluster.job(j)->iterations()) {
+      append_bits(sim::to_seconds(it.iter_end));
+    }
+  }
+  for (const double fct : fcts) append_bits(fct);
+  std::snprintf(buf, sizeof buf,
+                "msgs=%lld recomputes=%lld reroutes=%lld stalls=%lld\n",
+                static_cast<long long>(st.messages_completed),
+                static_cast<long long>(st.recomputes),
+                static_cast<long long>(st.reroutes),
+                static_cast<long long>(st.stalls));
+  out += buf;
+  return FaultedRun{out, st};
+}
+
+/// One two-flow MLTCP job on a dumbbell whose single bottleneck is cut,
+/// healed and drop-burst.
+FaultedRun faulted_dumbbell_run(bool full_recompute) {
   flowsim::FlowSimConfig cfg;
   cfg.full_recompute = full_recompute;
   FluidRig rig(2, cfg);
@@ -480,30 +514,92 @@ std::string faulted_trace(bool full_recompute) {
   engine.install(s);
   rig.cluster.start_all();
   rig.sim.run_until(sim::seconds(20));
+  return faulted_run(rig.cluster, {}, rig.fs->stats());
+}
 
-  std::string out;
-  char buf[64];
-  for (const auto& it : rig.cluster.job(0)->iterations()) {
-    const double end_s = sim::to_seconds(it.iter_end);
-    std::uint64_t bits;
-    std::memcpy(&bits, &end_s, sizeof bits);
-    std::snprintf(buf, sizeof buf, "%016" PRIx64 "\n", bits);
-    out += buf;
+/// Six two-flow MLTCP jobs and Poisson Reno transfers on a 4x4x2
+/// leaf-spine, where the topology passes reroute channels onto the
+/// surviving spine and stall the ones left without a path: ToR-spine cuts
+/// that heal, a drop burst, a one-way blackhole and a host-uplink cut.
+FaultedRun faulted_leaf_spine_run(bool full_recompute) {
+  sim::Simulator sim;
+  net::LeafSpineConfig lc;
+  lc.racks = 4;
+  lc.hosts_per_rack = 4;
+  lc.spines = 2;
+  lc.host_rate_bps = 4e9;
+  lc.fabric_rate_bps = 1e9;
+  auto ls = net::make_leaf_spine(sim, lc);
+  flowsim::FlowSimConfig cfg;
+  cfg.full_recompute = full_recompute;
+  flowsim::FlowSimulator fs(sim, *ls.topology, cfg);
+  workload::Cluster cluster(sim);
+  cluster.set_backend(&fs);
+
+  for (int i = 0; i < 6; ++i) {
+    const auto r = static_cast<std::size_t>(i % 4);
+    const auto h = static_cast<std::size_t>(i / 4);
+    workload::JobSpec spec;
+    spec.name = "j" + std::to_string(i);
+    spec.flows = {{ls.racks[r][h], ls.racks[(r + 1) % 4][2 + h], 500'000},
+                  {ls.racks[(r + 2) % 4][h], ls.racks[(r + 3) % 4][2 + h],
+                   500'000}};
+    spec.compute_time = sim::milliseconds(5);
+    spec.max_iterations = 1000;
+    spec.cc = core::mltcp_reno_factory();
+    cluster.add_job(spec);
   }
-  const auto& st = rig.fs->stats();
-  std::snprintf(buf, sizeof buf, "msgs=%lld recomputes=%lld\n",
-                static_cast<long long>(st.messages_completed),
-                static_cast<long long>(st.recomputes));
-  out += buf;
-  return out;
+
+  std::vector<net::Host*> hosts;
+  for (const auto& rack : ls.racks) {
+    hosts.insert(hosts.end(), rack.begin(), rack.end());
+  }
+  traffic::TrafficSource source(
+      sim, cluster, hosts, traffic::SourceOptions{reno(), {}, {}});
+  traffic::TrafficConfig tc;
+  tc.pattern = traffic::Pattern::kPoisson;
+  tc.size_dist = traffic::SizeDist::kPareto;
+  tc.mean_bytes = 40'000;
+  tc.flows_per_second = 2000.0;
+  tc.stop = sim::seconds(1);
+  tc.seed = 17;
+  source.install(tc);
+
+  scenario::Scenario s;
+  s.link_down(sim::milliseconds(50), "tor0", "spine0");
+  s.link_up(sim::milliseconds(150), "tor0", "spine0");
+  s.drop_burst(sim::milliseconds(200), "tor1", "spine0", 0.1, 5);
+  s.link_down(sim::milliseconds(250), "tor2", "spine1");
+  s.link_up(sim::milliseconds(330), "tor2", "spine1");
+  s.drop_burst(sim::milliseconds(380), "tor1", "spine0", 0.0);
+  s.blackhole(sim::milliseconds(450), "spine1", "tor3", true);
+  s.blackhole(sim::milliseconds(560), "spine1", "tor3", false);
+  s.link_down(sim::milliseconds(650), "h0_0", "tor0");
+  s.link_up(sim::milliseconds(760), "h0_0", "tor0");
+
+  scenario::ScenarioEngine engine(sim, *ls.topology, cluster);
+  engine.install(s);
+  cluster.start_all();
+  sim.run_until(sim::milliseconds(1500));
+  return faulted_run(cluster, source.completed_fcts_seconds(), fs.stats());
 }
 
 TEST(FlowsimIncremental, FullRecomputeModeBitIdenticalOnFaultedRun) {
-  const std::string incremental = faulted_trace(false);
-  const std::string full = faulted_trace(true);
-  EXPECT_EQ(incremental, full)
-      << "the dirty-set solver must reproduce the reference global "
-         "waterfill bit-for-bit, faults included";
+  const char* why =
+      "the dirty-set solver must reproduce the reference global waterfill "
+      "bit-for-bit, faults included";
+  EXPECT_EQ(faulted_dumbbell_run(false).trace,
+            faulted_dumbbell_run(true).trace)
+      << why;
+
+  const FaultedRun incremental = faulted_leaf_spine_run(false);
+  const FaultedRun full = faulted_leaf_spine_run(true);
+  EXPECT_EQ(incremental.trace, full.trace) << why;
+  // The leaf-spine input must exercise what the dumbbell cannot.
+  EXPECT_GT(incremental.stats.reroutes, 0);
+  EXPECT_GT(incremental.stats.stalls, 0);
+  EXPECT_GT(incremental.stats.frozen_skips, 0);
+  EXPECT_EQ(full.stats.frozen_skips, 0);
 }
 
 TEST(FlowsimIncremental, RandomizedDifferentialMatchesReferenceWaterfill) {

@@ -10,6 +10,7 @@
 #include "core/mltcp.hpp"
 #include "net/topology.hpp"
 #include "sched/centralized.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/flow.hpp"
 

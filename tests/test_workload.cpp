@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/metrics.hpp"
 #include "core/mltcp.hpp"
@@ -199,6 +201,36 @@ TEST(Cluster, TracksJobsAndFlows) {
   rig.cluster->add_job(spec);
   EXPECT_EQ(rig.cluster->job_count(), 1u);
   EXPECT_EQ(rig.cluster->flows_of(0).size(), 2u);
+}
+
+TEST(Cluster, AddJobRejectsFewerBytesThanChunks) {
+  Rig rig;
+  JobSpec spec = rig.basic_spec(0, 100'000, 0, 1);
+  spec.flows.push_back(FlowSpec{rig.d.left[1], rig.d.right[1], 2});
+  spec.comm_chunks = 3;
+  try {
+    rig.cluster->add_job(spec);
+    ADD_FAILURE() << "2 bytes over 3 chunks was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job0"), std::string::npos) << what;
+    EXPECT_NE(what.find("flow 1"), std::string::npos) << what;
+  }
+  // A single chunk still needs a positive size.
+  for (const std::int64_t bytes : {0, -5}) {
+    JobSpec single = rig.basic_spec(1, 100'000, 0, 1);
+    single.flows[0].bytes_per_iteration = bytes;
+    EXPECT_THROW(rig.cluster->add_job(single), std::invalid_argument);
+  }
+  EXPECT_EQ(rig.cluster->job_count(), 0u);
+
+  // The rejected specs took no flow id, and exactly one byte per chunk runs.
+  spec.flows[1].bytes_per_iteration = 3;
+  rig.cluster->add_job(spec);
+  EXPECT_EQ(rig.cluster->flows_of(0)[0]->id(), 1);
+  rig.cluster->start_all();
+  rig.sim.run_until(sim::seconds(5));
+  EXPECT_EQ(rig.cluster->job(0)->completed_iterations(), 1);
 }
 
 TEST(Cluster, ChannelsComeFromThePacketBackendByDefault) {
